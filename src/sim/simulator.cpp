@@ -347,9 +347,12 @@ SimStats run_simulation_with_fault_events(const SimTopology& topo,
             --in_flight;
             continue;
           }
-          pkt.path = std::move(repaired.path);
-          pkt.hop = 0;
-          next = pkt.path[1];
+          // Splice the detour onto the hops already taken, so the path
+          // still starts at the source and path.size() - 1 counts every hop.
+          pkt.path.resize(pkt.hop + 1);
+          pkt.path.insert(pkt.path.end(), repaired.path.begin() + 1,
+                          repaired.path.end());
+          next = pkt.path[pkt.hop + 1];
         }
         ++pkt.hop;
         telem.on_move(v, next);

@@ -338,9 +338,9 @@ TEST(ConnectivitySweep, ValidatorAcceptsEngineStatesAndRejectsCorruption) {
 }
 
 TEST(ConnectivitySweep, SparsifyIsByteIdenticalOnRandomGraphs) {
-  // The --sparsify contract: kappa, solve and prune counts, and the final
-  // checkpoint BYTES are identical with certificates on or off. ~20 random
-  // graphs across sizes and densities plus both schedules.
+  // The SweepOptions::sparsify contract: kappa, solve and prune counts,
+  // and the final checkpoint BYTES are identical with certificates on or
+  // off. ~20 random graphs across sizes and densities plus both schedules.
   std::uint64_t seed = 7000;
   int checked = 0;
   for (NodeId n : {6, 9, 12, 15}) {

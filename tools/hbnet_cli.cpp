@@ -1,45 +1,30 @@
 // hbnet command-line tool: inspect hyper-butterfly instances, compute
 // routes and disjoint paths, export DOT/edge lists, run quick analyses,
-// and drive the packet/wormhole simulators with full telemetry export.
+// drive the packet/wormhole simulators with full telemetry export, and run
+// deterministic fault-injection campaigns.
 //
-// Usage:
-//   hbnet_cli info <m> <n>
-//   hbnet_cli route <m> <n> <src-id> <dst-id>
-//   hbnet_cli disjoint <m> <n> <src-id> <dst-id>
-//   hbnet_cli label <m> <n> <id>
-//   hbnet_cli dot <m> <n> [file]
-//   hbnet_cli edges <m> <n> [file]
-//   hbnet_cli cuts <m> <n>
-//   hbnet_cli election <m> <n>
-//   hbnet_cli analyze <m> <n> [--threads N] [--audit]
-//   hbnet_cli analyze <m> <n> --exact-connectivity [--checkpoint FILE]
-//                             [--threads N] [--metrics-out FILE]
-//                             [--sparsify] [--implicit] [--no-orbits]
-//                             [--max-blocks N]
-//   hbnet_cli wormhole <m> <n> [sim options]
-//   hbnet_cli sim <m> <n> [sim options]
-//   hbnet_cli campaign <m> <n> [campaign options]
+// Run it without arguments for the usage text. That text is generated from
+// the flag table kFlags below, which is also the only argv parser: each row
+// names a flag, the Options field it sets (its type is the value kind), the
+// commands that accept it and its help line. A flag its command does not
+// use is an error, never silently ignored; the diagnostic names the
+// commands that do accept it.
 //
-// Sim options (wormhole/sim): --rate R --cycles C --vcs V --flits F
-//   --pattern uniform|complement|reversal|shuffle|hotspot
-//   --policy any|dateline|segment (wormhole) --valiant (sim) --seed S
-//   --threads N --trace-out FILE --metrics-out FILE --links-csv FILE
-//
-// Live telemetry (campaign, analyze --exact-connectivity, wormhole, sim):
-//   --stream-out FILE writes an NDJSON snapshot stream plus a Prometheus
-//   text exposition (FILE.prom unless --prom-out overrides) while the run
-//   is in flight; --progress renders a single rewriting status line on
-//   stderr. Both are read-only observers -- results stay byte-identical
-//   with them on or off (tools/test_stream_determinism.sh enforces it).
+// Live telemetry (the stream flags) is a read-only observer: results stay
+// byte-identical with it on or off (tools/test_stream_determinism.sh
+// enforces it).
 //
 // Every numeric argv token goes through campaign/grid.hpp's checked
-// parsers: a malformed or partial token ("4x", "", "1e999") prints usage
-// and exits nonzero instead of dying on an uncaught std::stoul exception.
+// parsers: a malformed or partial token ("4x", "", "1e999") prints a
+// diagnostic and the usage and exits nonzero instead of dying on an
+// uncaught std::stoul exception.
+#include <algorithm>
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <initializer_list>
 #include <iostream>
 #include <memory>
 #include <mutex>
@@ -47,6 +32,9 @@
 #include <string>
 #include <string_view>
 #include <thread>
+#include <type_traits>
+#include <utility>
+#include <variant>
 #include <vector>
 
 #include "analysis/cuts.hpp"
@@ -72,9 +60,273 @@
 
 namespace {
 
+namespace camp = hbnet::campaign;
 using hbnet::HbIndex;
 using hbnet::HbNode;
 using hbnet::HyperButterfly;
+
+/// The flag-taking commands, one bit each. kExact is `analyze` switched
+/// into the exact-connectivity sweep by the flag row that `selects` it.
+enum Scope : unsigned {
+  kAnalyze = 1u << 0,
+  kExact = 1u << 1,
+  kWormhole = 1u << 2,
+  kSim = 1u << 3,
+  kCampaign = 1u << 4,
+};
+constexpr unsigned kRuns = kWormhole | kSim;
+constexpr unsigned kTelemetry = kExact | kRuns | kCampaign;
+
+/// Sentinel for "flag not given, keep the engine's default".
+constexpr std::uint64_t kFlagUnset = ~std::uint64_t{0};
+
+/// Everything a flag can set, for every command.
+struct Options {
+  unsigned cmd = 0;  // the command's Scope bit, before any `selects`
+  // analyze
+  bool audit = false;
+  bool exact = false;  // selects kExact (parse_flags returns the scope)
+  std::string checkpoint;
+  std::uint64_t max_blocks = 0;  // 0 = run to completion
+  // wormhole / sim
+  double rate = 0.05;
+  std::uint64_t cycles = 400;
+  std::uint64_t warmup = kFlagUnset;
+  std::uint64_t drain = kFlagUnset;
+  std::uint64_t seed = 42;
+  hbnet::TrafficPattern pattern = hbnet::TrafficPattern::kUniform;
+  unsigned vcs = 6;
+  unsigned flits = 4;
+  hbnet::VcPolicy policy = hbnet::VcPolicy::kSegmentDateline;
+  // Wormhole static faults, derived from the seed exactly the way campaign
+  // trials derive theirs (campaign::derived_fault_nodes / _links).
+  unsigned faults = 0;
+  unsigned link_faults = 0;
+  bool valiant = false;
+  std::optional<unsigned> shards;  // given: the sharded engine (0 = per worker)
+  std::string trace_out, links_csv;
+  // campaign (the grid; --seed, --cycles and --faults land here too)
+  camp::CampaignConfig campaign;
+  std::string csv;
+  // shared: threads, metrics, live telemetry
+  unsigned threads = 0;  // 0 = par::default_threads()
+  std::string metrics_out;
+  std::string stream_out, prom_out;
+  std::uint64_t stream_interval_ms = 200;
+  bool progress = false;
+};
+
+/// One flag's value token, with checked conversions that name the flag and
+/// the token on failure.
+struct Arg {
+  std::string_view flag;
+  std::string_view text;
+
+  bool fail(std::string_view expected) const {
+    std::cerr << flag << ": expected " << expected << ", got '" << text
+              << "'\n";
+    return false;
+  }
+  template <class T, class Parse>
+  bool parse(T& out, Parse parser, std::string_view expected) const {
+    std::optional<T> v = parser(text);
+    if (!v) return fail(expected);
+    out = std::move(*v);
+    return true;
+  }
+  bool get(std::uint64_t& out) const {
+    return parse(out, camp::parse_u64, "a non-negative integer");
+  }
+  bool get(unsigned& out) const {
+    return parse(out, camp::parse_unsigned, "a non-negative integer");
+  }
+  bool get(double& out) const {
+    return parse(out, camp::parse_double, "a finite number");
+  }
+  bool get(std::string& out) const {
+    out = text;
+    return true;
+  }
+  template <class E>
+  bool choose(
+      E& out,
+      std::initializer_list<std::pair<std::string_view, E>> names) const {
+    std::string expected;
+    for (const auto& [name, value] : names) {
+      if (text == name) {
+        out = value;
+        return true;
+      }
+      expected += (expected.empty() ? "" : "|") + std::string(name);
+    }
+    return fail(expected);
+  }
+};
+
+/// "random,events" -> fault models; nullopt on any unknown name.
+std::optional<std::vector<camp::FaultModel>> parse_models(
+    std::string_view text) {
+  std::vector<camp::FaultModel> models;
+  while (true) {
+    const std::size_t comma = text.find(',');
+    const std::optional<camp::FaultModel> model =
+        camp::fault_model_from_name(text.substr(0, comma));
+    if (!model) return std::nullopt;
+    models.push_back(*model);
+    if (comma == std::string_view::npos) return models;
+    text.remove_prefix(comma + 1);
+  }
+}
+
+using Setter = bool (*)(Options&, const Arg&);
+/// The field a flag sets; a bool field makes it a value-less switch.
+using Target = std::variant<bool Options::*, std::uint64_t Options::*,
+                            unsigned Options::*, double Options::*,
+                            std::string Options::*, Setter>;
+
+struct Flag {
+  std::string_view name;
+  Target target;
+  unsigned scope;          // Scope bits of the commands that accept it
+  std::string_view value;  // value placeholder in usage(); empty = switch
+  std::string_view help;
+  unsigned selects = 0;  // Scope an accepting command switches into
+};
+
+const Flag kFlags[] = {
+    {"--audit", &Options::audit, kAnalyze, "",
+     "also verify Theorem 5 on all vertex pairs"},
+    {"--exact-connectivity", &Options::exact, kAnalyze | kExact, "",
+     "checkpointed Even-Tarjan sweep proving kappa = m+4", kExact},
+    {"--checkpoint", &Options::checkpoint, kExact, "FILE",
+     "resumable sweep checkpoint"},
+    {"--max-blocks", &Options::max_blocks, kExact, "N",
+     "stop after N blocks (resume via the checkpoint)"},
+    {"--rate", &Options::rate, kRuns, "R",
+     "injection rate per node and cycle (default 0.05)"},
+    {"--cycles",
+     +[](Options& o, const Arg& a) {
+       if (!a.get(o.cycles)) return false;
+       o.campaign.sim.measure_cycles = o.cycles;
+       o.campaign.wormhole.measure_cycles = o.cycles;
+       return true;
+     },
+     kRuns | kCampaign, "C",
+     "measurement cycles (default 400; campaign: per trial)"},
+    {"--warmup", &Options::warmup, kRuns, "W", "warm-up cycles"},
+    {"--drain", &Options::drain, kRuns, "D", "drain cycles"},
+    {"--seed",
+     +[](Options& o, const Arg& a) {
+       return a.get(o.cmd == kCampaign ? o.campaign.seed : o.seed);
+     },
+     kRuns | kCampaign, "S",
+     "run seed (default 42; campaign: master seed, 1)"},
+    {"--pattern",
+     +[](Options& o, const Arg& a) {
+       using P = hbnet::TrafficPattern;
+       return a.choose(o.pattern, {{"uniform", P::kUniform},
+                                   {"complement", P::kBitComplement},
+                                   {"reversal", P::kBitReversal},
+                                   {"shuffle", P::kShuffle},
+                                   {"hotspot", P::kHotspot}});
+     },
+     kRuns, "P", "uniform|complement|reversal|shuffle|hotspot"},
+    {"--vcs", &Options::vcs, kWormhole, "V",
+     "virtual channels per link (default 6)"},
+    {"--flits", &Options::flits, kWormhole, "F",
+     "flits per packet (default 4)"},
+    {"--policy",
+     +[](Options& o, const Arg& a) {
+       using V = hbnet::VcPolicy;
+       return a.choose(o.policy, {{"any", V::kAnyFree},
+                                  {"dateline", V::kDateline},
+                                  {"segment", V::kSegmentDateline},
+                                  {"adaptive", V::kFaultAdaptive}});
+     },
+     kWormhole, "P", "VC policy any|dateline|segment|adaptive"},
+    {"--faults",
+     +[](Options& o, const Arg& a) {
+       if (o.cmd != kCampaign) return a.get(o.faults);
+       return a.parse(o.campaign.fault_counts, camp::parse_unsigned_list,
+                      "comma-separated non-negative integers");
+     },
+     kWormhole | kCampaign, "K",
+     "wormhole: K node faults from the seed (needs\n"
+     "adaptive policy); campaign: K1,K2 per cell"},
+    {"--link-faults", &Options::link_faults, kWormhole, "K",
+     "K static directed link faults (adaptive policy)"},
+    {"--valiant", &Options::valiant, kSim, "", "Valiant two-phase routing"},
+    {"--shards",
+     +[](Options& o, const Arg& a) { return a.get(o.shards.emplace()); },
+     kSim, "S",
+     "sharded synchronous engine, S shards (0 = one\n"
+     "per worker); identical for every threads x shards"},
+    {"--trace-out", &Options::trace_out, kRuns, "FILE",
+     "Chrome trace JSON (chrome://tracing, Perfetto)"},
+    {"--links-csv", &Options::links_csv, kRuns, "FILE",
+     "per-link utilization CSV"},
+    {"--models",
+     +[](Options& o, const Arg& a) {
+       return a.parse(o.campaign.models, parse_models,
+                      "comma-separated random|adversarial|events|links");
+     },
+     kCampaign, "M1,M2",
+     "fault models (default random; events is sf-only,\n"
+     "links wormhole-only)"},
+    {"--rates",
+     +[](Options& o, const Arg& a) {
+       return a.parse(o.campaign.rates, camp::parse_double_list,
+                      "comma-separated numbers");
+     },
+     kCampaign, "R1,R2", "injection rates in (0,1] (default 0.05)"},
+    {"--trials",
+     +[](Options& o, const Arg& a) { return a.get(o.campaign.trials); },
+     kCampaign, "T", "repeats per grid cell (default 1)"},
+    {"--engine",
+     +[](Options& o, const Arg& a) {
+       return a.parse(o.campaign.engine, camp::engine_from_name,
+                      "sf|wormhole");
+     },
+     kCampaign, "sf|wormhole", "simulator (default sf)"},
+    {"--csv", &Options::csv, kCampaign, "FILE", "per-cell summary CSV"},
+    {"--threads", &Options::threads, kAnalyze | kExact | kSim | kCampaign,
+     "N", "worker threads (0 = default); results invariant"},
+    {"--metrics-out", &Options::metrics_out, kTelemetry, "FILE",
+     "metrics JSON"},
+    {"--stream-out", &Options::stream_out, kTelemetry, "FILE",
+     "live NDJSON snapshot stream, plus FILE.prom"},
+    {"--prom-out", &Options::prom_out, kTelemetry, "FILE",
+     "Prometheus text exposition path"},
+    {"--stream-interval-ms", &Options::stream_interval_ms, kTelemetry, "MS",
+     "snapshot interval (default 200)"},
+    {"--progress", &Options::progress, kTelemetry, "",
+     "single rewriting status line on stderr"},
+};
+
+std::string scope_name(unsigned bit) {
+  for (const Flag& f : kFlags) {
+    if (f.selects == bit) return "analyze " + std::string(f.name);
+  }
+  switch (bit) {
+    case kAnalyze:
+      return "analyze";
+    case kWormhole:
+      return "wormhole";
+    case kSim:
+      return "sim";
+    default:
+      return "campaign";
+  }
+}
+
+std::string accepted_by(const Flag& f) {
+  std::string names;
+  for (unsigned bit = kAnalyze; bit <= kCampaign; bit <<= 1) {
+    if ((f.scope & bit) == 0 || bit == f.selects) continue;
+    names += (names.empty() ? "" : ", ") + scope_name(bit);
+  }
+  return names;
+}
 
 int usage() {
   std::cerr
@@ -87,245 +339,99 @@ int usage() {
          "  edges <m> <n> [file]           edge-list export\n"
          "  cuts <m> <n>                   dimension cuts / bisection bound\n"
          "  election <m> <n>               run both leader elections\n"
-         "  analyze <m> <n> [--threads N] [--audit]\n"
-         "                                 parallel structural analysis\n"
-         "                                 (--audit: verify Thm 5 on all pairs)\n"
-         "  analyze <m> <n> --exact-connectivity [--checkpoint FILE]\n"
-         "                  [--threads N] [--metrics-out FILE]\n"
-         "                  [--sparsify] [--implicit] [--no-orbits]\n"
-         "                  [--max-blocks N]\n"
-         "                                 checkpointed Even-Tarjan sweep\n"
-         "                                 proving kappa(HB(m,n)) = m+4\n"
-         "                                 --sparsify: run flows on\n"
-         "                                 Nagamochi-Ibaraki certificates\n"
-         "                                 --implicit: generator-arithmetic\n"
-         "                                 adjacency, no materialized CSR\n"
-         "                                 --no-orbits: disable the cube-\n"
-         "                                 permutation target reduction\n"
-         "                                 --max-blocks: stop after N blocks\n"
-         "                                 (resume via --checkpoint)\n"
-         "  wormhole <m> <n> [options]     flit-level wormhole run on HB(m,n)\n"
-         "  sim <m> <n> [options]          store-and-forward run on HB(m,n)\n"
-         "  campaign <m> <n> [options]     deterministic fault-injection\n"
+         "  analyze <m> <n> [flags]        parallel structural analysis\n"
+         "  wormhole <m> <n> [flags]       flit-level wormhole run on HB(m,n)\n"
+         "  sim <m> <n> [flags]            store-and-forward run on HB(m,n)\n"
+         "  campaign <m> <n> [flags]       deterministic fault-injection\n"
          "                                 campaign over the thread pool\n"
-         "options for wormhole/sim:\n"
-         "  --rate R --cycles C --warmup W --drain D --vcs V --flits F\n"
-         "  --seed S --threads N\n"
-         "  --pattern uniform|complement|reversal|shuffle|hotspot\n"
-         "  --policy any|dateline|segment|adaptive   --valiant\n"
-         "  --faults K          wormhole only: K static node faults derived\n"
-         "                      from the seed (requires --policy adaptive)\n"
-         "  --link-faults K     wormhole only: K static directed link faults\n"
-         "                      (requires --policy adaptive)\n"
-         "  --shards S          sim only: run the sharded synchronous\n"
-         "                      engine (counter-based traffic; 0 = one\n"
-         "                      shard per worker). Results are identical\n"
-         "                      for every --threads x --shards choice\n"
-         "  --trace-out FILE    Chrome trace JSON (chrome://tracing, Perfetto)\n"
-         "  --metrics-out FILE  metrics/links/timeseries JSON\n"
-         "  --links-csv FILE    per-link utilization CSV\n"
-         "live telemetry (campaign / analyze --exact-connectivity /\n"
-         "wormhole / sim; results stay byte-identical with it on or off):\n"
-         "  --stream-out FILE   append-only NDJSON snapshot stream; also\n"
-         "                      writes FILE.prom (Prometheus text format)\n"
-         "  --prom-out FILE     override the Prometheus exposition path\n"
-         "  --stream-interval-ms MS  snapshot interval (default 200)\n"
-         "  --progress          single rewriting status line on stderr\n"
-         "options for campaign:\n"
-         "  --models M1,M2      random|adversarial|events|links (default\n"
-         "                      random; events is sf-only, links wormhole-only)\n"
-         "  --rates R1,R2       injection rates in (0,1] (default 0.05)\n"
-         "  --faults K1,K2      fault counts per cell (default 0)\n"
-         "  --trials T          repeats per grid cell (default 1)\n"
-         "  --seed S            campaign master seed (default 1)\n"
-         "  --engine sf|wormhole  simulator (default sf)\n"
-         "  --cycles C          measurement cycles per trial\n"
-         "  --threads N         pool size (0 = default)\n"
-         "  --metrics-out FILE  merged campaign metrics JSON\n"
-         "  --csv FILE          per-cell summary CSV\n";
+         "flags (a flag its command does not use is an error):\n";
+  constexpr std::size_t kColumn = 28;
+  const std::string indent(kColumn, ' ');
+  for (const Flag& f : kFlags) {
+    std::string head = "  " + std::string(f.name);
+    if (!f.value.empty()) head += " " + std::string(f.value);
+    const std::size_t pad = kColumn - std::min(head.size(), kColumn - 1);
+    std::cerr << head << std::string(pad, ' ');
+    for (const char c : f.help) {
+      std::cerr << c;
+      if (c == '\n') std::cerr << indent;
+    }
+    std::cerr << "\n" << indent << "[" << accepted_by(f) << "]\n";
+  }
   return 2;
 }
 
-// Checked argv-to-number conversions: report the offending flag and token
-// on stderr and fail instead of throwing (satellite of the campaign PR;
-// see campaign/grid.hpp for the parsing contract).
-bool parse_flag_u64(const char* flag, const char* v, std::uint64_t& out) {
-  const std::optional<std::uint64_t> p = hbnet::campaign::parse_u64(v);
-  if (!p) {
-    std::cerr << flag << ": expected a non-negative integer, got '" << v
-              << "'\n";
-    return false;
+const Flag* find_flag(std::string_view name) {
+  for (const Flag& f : kFlags) {
+    if (f.name == name) return &f;
   }
-  out = *p;
-  return true;
+  return nullptr;
 }
 
-bool parse_flag_unsigned(const char* flag, const char* v, unsigned& out) {
-  const std::optional<unsigned> p = hbnet::campaign::parse_unsigned(v);
-  if (!p) {
-    std::cerr << flag << ": expected a non-negative integer, got '" << v
-              << "'\n";
-    return false;
-  }
-  out = *p;
-  return true;
-}
-
-bool parse_flag_double(const char* flag, const char* v, double& out) {
-  const std::optional<double> p = hbnet::campaign::parse_double(v);
-  if (!p) {
-    std::cerr << flag << ": expected a finite number, got '" << v << "'\n";
-    return false;
-  }
-  out = *p;
-  return true;
-}
-
-/// Sentinel for "flag not given, keep the engine's default".
-constexpr std::uint64_t kFlagUnset = ~std::uint64_t{0};
-
-/// Shared flags for the telemetry-producing commands.
-struct SimFlags {
-  double rate = 0.05;
-  std::uint64_t cycles = 400;
-  std::uint64_t warmup = kFlagUnset;
-  std::uint64_t drain = kFlagUnset;
-  unsigned vcs = 6;
-  unsigned flits = 4;
-  unsigned shards = 0;   // 0 = one shard per pool worker
-  bool sharded = false;  // --shards given: use the sharded engine
-  std::uint64_t seed = 42;
-  hbnet::TrafficPattern pattern = hbnet::TrafficPattern::kUniform;
-  hbnet::VcPolicy policy = hbnet::VcPolicy::kSegmentDateline;
-  bool valiant = false;
-  // Wormhole static faults, derived from the seed exactly the way campaign
-  // trials derive theirs (campaign::derived_fault_nodes / _links).
-  unsigned faults = 0;
-  unsigned link_faults = 0;
-  std::string trace_out, metrics_out, links_csv;
-  // Live telemetry: NDJSON stream / Prometheus exposition / TTY line.
-  std::string stream_out, prom_out;
-  std::uint64_t stream_interval_ms = 200;
-  bool progress = false;
-};
-
-bool parse_sim_flags(int argc, char** argv, int first, SimFlags& f) {
+/// Parses argv[first..] into `o` for command `cmd`, whose Scope bit is
+/// `scope` (0 for a command that takes no flags). Returns the final scope,
+/// or nullopt after a diagnostic on stderr.
+std::optional<unsigned> parse_flags(int argc, char** argv, int first,
+                                    std::string_view cmd, unsigned scope,
+                                    Options& o) {
+  o.cmd = scope;
+  std::vector<const Flag*> given;
   for (int i = first; i < argc; ++i) {
-    const std::string a = argv[i];
-    auto next = [&](const char* flag) -> const char* {
-      if (i + 1 >= argc) {
-        std::cerr << flag << " needs a value\n";
-        return nullptr;
-      }
-      return argv[++i];
-    };
-    if (a == "--valiant") {
-      f.valiant = true;
-    } else if (a == "--progress") {
-      f.progress = true;
-    } else if (a == "--stream-out") {
-      const char* v = next("--stream-out");
-      if (!v) return false;
-      f.stream_out = v;
-    } else if (a == "--prom-out") {
-      const char* v = next("--prom-out");
-      if (!v) return false;
-      f.prom_out = v;
-    } else if (a == "--stream-interval-ms") {
-      const char* v = next("--stream-interval-ms");
-      if (!v ||
-          !parse_flag_u64("--stream-interval-ms", v, f.stream_interval_ms)) {
-        return false;
-      }
-    } else if (a == "--rate") {
-      const char* v = next("--rate");
-      if (!v || !parse_flag_double("--rate", v, f.rate)) return false;
-    } else if (a == "--cycles") {
-      const char* v = next("--cycles");
-      if (!v || !parse_flag_u64("--cycles", v, f.cycles)) return false;
-    } else if (a == "--warmup") {
-      const char* v = next("--warmup");
-      if (!v || !parse_flag_u64("--warmup", v, f.warmup)) return false;
-    } else if (a == "--drain") {
-      const char* v = next("--drain");
-      if (!v || !parse_flag_u64("--drain", v, f.drain)) return false;
-    } else if (a == "--shards") {
-      const char* v = next("--shards");
-      if (!v || !parse_flag_unsigned("--shards", v, f.shards)) return false;
-      f.sharded = true;
-    } else if (a == "--vcs") {
-      const char* v = next("--vcs");
-      if (!v || !parse_flag_unsigned("--vcs", v, f.vcs)) return false;
-    } else if (a == "--flits") {
-      const char* v = next("--flits");
-      if (!v || !parse_flag_unsigned("--flits", v, f.flits)) return false;
-    } else if (a == "--faults") {
-      const char* v = next("--faults");
-      if (!v || !parse_flag_unsigned("--faults", v, f.faults)) return false;
-    } else if (a == "--link-faults") {
-      const char* v = next("--link-faults");
-      if (!v || !parse_flag_unsigned("--link-faults", v, f.link_faults)) {
-        return false;
-      }
-    } else if (a == "--seed") {
-      const char* v = next("--seed");
-      if (!v || !parse_flag_u64("--seed", v, f.seed)) return false;
-    } else if (a == "--threads") {
-      const char* v = next("--threads");
-      unsigned threads = 0;
-      if (!v || !parse_flag_unsigned("--threads", v, threads)) return false;
-      hbnet::par::set_default_threads(threads);
-    } else if (a == "--pattern") {
-      const char* v = next("--pattern");
-      if (!v) return false;
-      const std::string p = v;
-      if (p == "uniform") {
-        f.pattern = hbnet::TrafficPattern::kUniform;
-      } else if (p == "complement") {
-        f.pattern = hbnet::TrafficPattern::kBitComplement;
-      } else if (p == "reversal") {
-        f.pattern = hbnet::TrafficPattern::kBitReversal;
-      } else if (p == "shuffle") {
-        f.pattern = hbnet::TrafficPattern::kShuffle;
-      } else if (p == "hotspot") {
-        f.pattern = hbnet::TrafficPattern::kHotspot;
-      } else {
-        std::cerr << "unknown pattern " << p << "\n";
-        return false;
-      }
-    } else if (a == "--policy") {
-      const char* v = next("--policy");
-      if (!v) return false;
-      const std::string p = v;
-      if (p == "any") {
-        f.policy = hbnet::VcPolicy::kAnyFree;
-      } else if (p == "dateline") {
-        f.policy = hbnet::VcPolicy::kDateline;
-      } else if (p == "segment") {
-        f.policy = hbnet::VcPolicy::kSegmentDateline;
-      } else if (p == "adaptive") {
-        f.policy = hbnet::VcPolicy::kFaultAdaptive;
-      } else {
-        std::cerr << "unknown policy " << p << "\n";
-        return false;
-      }
-    } else if (a == "--trace-out") {
-      const char* v = next("--trace-out");
-      if (!v) return false;
-      f.trace_out = v;
-    } else if (a == "--metrics-out") {
-      const char* v = next("--metrics-out");
-      if (!v) return false;
-      f.metrics_out = v;
-    } else if (a == "--links-csv") {
-      const char* v = next("--links-csv");
-      if (!v) return false;
-      f.links_csv = v;
-    } else {
-      std::cerr << "unknown option " << a << "\n";
-      return false;
+    const Flag* f = find_flag(argv[i]);
+    if (f == nullptr) {
+      std::cerr << "unknown option " << argv[i] << "\n";
+      return std::nullopt;
     }
+    Arg arg{f->name, {}};
+    if (!f->value.empty()) {
+      if (i + 1 >= argc) {
+        std::cerr << f->name << " needs a value\n";
+        return std::nullopt;
+      }
+      arg.text = argv[++i];
+    }
+    const bool ok = std::visit(
+        [&](auto target) {
+          using T = decltype(target);
+          if constexpr (std::is_same_v<T, Setter>) {
+            return target(o, arg);
+          } else if constexpr (std::is_same_v<T, bool Options::*>) {
+            o.*target = true;
+            return true;
+          } else {
+            return arg.get(o.*target);
+          }
+        },
+        f->target);
+    if (!ok) return std::nullopt;
+    if (f->selects != 0 && (f->scope & o.cmd) != 0) scope = f->selects;
+    given.push_back(f);
   }
+  // Checked after the loop: a flag that selects a scope may come last.
+  for (const Flag* f : given) {
+    if ((f->scope & scope) != 0) continue;
+    std::cerr << f->name << ": not used by "
+              << (scope != 0 ? scope_name(scope) : std::string(cmd))
+              << " (accepted by " << accepted_by(*f) << ")\n";
+    return std::nullopt;
+  }
+  return scope;
+}
+
+/// Writes one artifact to `path` through `writer` and confirms it on stdout
+/// as `<label><path><note>`. An empty path writes nothing; false (with a
+/// diagnostic) when the file cannot be opened.
+template <class Writer>
+bool write_file(const std::string& path, std::string_view label,
+                Writer&& writer, const std::string& note = {}) {
+  if (path.empty()) return true;
+  std::ofstream os(path);
+  if (!os) {
+    std::cerr << "cannot open " << path << "\n";
+    return false;
+  }
+  writer(os);
+  std::cout << label << path << note << "\n";
   return true;
 }
 
@@ -397,26 +503,21 @@ struct Streaming {
 
   ~Streaming() { stop(); }
 
-  void start(const std::string& stream_out, const std::string& prom_out,
-             std::uint64_t interval_ms, bool progress, const char* job) {
-    if (!stream_out.empty() || !prom_out.empty()) {
+  void start(const Options& o, const char* job) {
+    if (!o.stream_out.empty() || !o.prom_out.empty()) {
       hbnet::obs::SnapshotterOptions opts;
-      opts.stream_path = stream_out;
-      opts.prom_path = !prom_out.empty()
-                           ? prom_out
-                           : (stream_out.empty() ? std::string()
-                                                 : stream_out + ".prom");
-      opts.interval_ms = interval_ms;
+      opts.stream_path = o.stream_out;
+      opts.prom_path = !o.prom_out.empty()
+                           ? o.prom_out
+                           : (o.stream_out.empty() ? std::string()
+                                                   : o.stream_out + ".prom");
+      opts.interval_ms = o.stream_interval_ms;
       opts.job = job;
       snapshotter =
           std::make_unique<hbnet::obs::Snapshotter>(board, std::move(opts));
       snapshotter->start();
     }
-    if (progress) line = std::make_unique<ProgressLine>(board);
-  }
-
-  void start(const SimFlags& f, const char* job) {
-    start(f.stream_out, f.prom_out, f.stream_interval_ms, f.progress, job);
+    if (o.progress) line = std::make_unique<ProgressLine>(board);
   }
 
   /// The board when any surface is active, else nullptr -- so engines see
@@ -435,106 +536,70 @@ struct Streaming {
 
 /// Writes the sink's exports to the files requested by the flags.
 /// Returns false on I/O failure.
-bool export_sink(const hbnet::obs::Sink& sink, const SimFlags& f) {
-  auto dump = [](const std::string& path, auto&& writer) {
-    std::ofstream os(path);
-    if (!os) {
-      std::cerr << "cannot open " << path << "\n";
-      return false;
-    }
-    writer(os);
-    os << '\n';
-    return true;
-  };
-  if (!f.trace_out.empty()) {
+bool export_sink(const hbnet::obs::Sink& sink, const Options& o) {
+  std::string trace_note;
+  if (!o.trace_out.empty()) {
     if (sink.trace() == nullptr) return false;
-    if (!dump(f.trace_out,
-              [&](std::ostream& os) { sink.trace()->write_json(os); })) {
-      return false;
-    }
-    std::cout << "trace:   " << f.trace_out << " (" << sink.trace()->size()
-              << " events";
+    trace_note = " (" + std::to_string(sink.trace()->size()) + " events";
     if (sink.trace()->dropped() > 0) {
-      std::cout << ", " << sink.trace()->dropped() << " dropped at capacity";
+      trace_note += ", " + std::to_string(sink.trace()->dropped()) +
+                    " dropped at capacity";
     }
-    std::cout << ")\n";
+    trace_note += ")";
   }
-  if (!f.metrics_out.empty()) {
-    if (!dump(f.metrics_out,
-              [&](std::ostream& os) { sink.write_metrics_json(os); })) {
-      return false;
-    }
-    std::cout << "metrics: " << f.metrics_out << " (" << sink.links().size()
-              << " links)\n";
-  }
-  if (!f.links_csv.empty()) {
-    if (!dump(f.links_csv,
-              [&](std::ostream& os) { sink.write_links_csv(os); })) {
-      return false;
-    }
-    std::cout << "links:   " << f.links_csv << "\n";
-  }
-  return true;
+  return write_file(o.trace_out, "trace:   ",
+                    [&](std::ostream& os) {
+                      sink.trace()->write_json(os);
+                      os << '\n';
+                    },
+                    trace_note) &&
+         write_file(o.metrics_out, "metrics: ",
+                    [&](std::ostream& os) {
+                      sink.write_metrics_json(os);
+                      os << '\n';
+                    },
+                    " (" + std::to_string(sink.links().size()) + " links)") &&
+         write_file(o.links_csv, "links:   ", [&](std::ostream& os) {
+           sink.write_links_csv(os);
+           os << '\n';
+         });
 }
 
 void print_node(const HyperButterfly& hb, HbNode v) {
   std::cout << "(" << v.cube << ",'" << hb.butterfly().label(v.bfly) << "')";
 }
 
-/// Mode switches for `analyze --exact-connectivity`.
-struct ExactFlags {
-  std::string checkpoint;
-  std::string metrics_out;
-  bool sparsify = false;   // run flows on Nagamochi-Ibaraki certificates
-  bool implicit = false;   // generator-arithmetic adjacency, no CSR build
-  bool orbits = true;      // cube-permutation target reduction
-  std::uint64_t max_blocks = 0;  // 0 = run to completion
-};
-
 /// `analyze --exact-connectivity`: checkpointed Even-Tarjan sweep over the
 /// HB(m,n) graph, single-source schedule (HB is a Cayley graph, hence
 /// vertex transitive). Exit 0 only when the proven kappa equals the
 /// Corollary-1 value m+4.
-int run_exact_connectivity(const HyperButterfly& hb, const ExactFlags& ef,
-                           const SimFlags& stream_flags) {
+int run_exact_connectivity(const HyperButterfly& hb, const Options& o) {
   const unsigned m = hb.cube_dimension();
   const unsigned n = hb.butterfly_dimension();
   hbnet::obs::MetricsRegistry metrics;
-  hbnet::par::ThreadPool probe;
 
-  // Adjacency mode: materialized CSR (default) or generator arithmetic
-  // (--implicit, O(1) memory for the topology itself).
-  std::optional<hbnet::Graph> g;
-  std::optional<hbnet::CsrAdjacency> csr;
-  std::optional<hbnet::HbImplicitAdjacency> implicit;
-  const hbnet::AdjacencyProvider* adj = nullptr;
-  if (ef.implicit) {
-    adj = &implicit.emplace(m, n);
-  } else {
-    g.emplace(hb.to_graph());
-    adj = &csr.emplace(*g);
-  }
+  // Generator-arithmetic adjacency: O(1) memory for the topology itself.
+  // Flows run on the full graph -- HB is (m+4)-regular with kappa = m+4, so
+  // a Nagamochi-Ibaraki k-certificate at k = kappa would be every edge.
+  const hbnet::HbImplicitAdjacency adj(m, n);
   std::cout << "exact connectivity HB(" << m << "," << n << ")  "
-            << adj->num_nodes() << " nodes, " << adj->num_edges()
-            << " edges  (" << probe.size() << " threads, adjacency "
-            << adj->describe() << (ef.sparsify ? ", sparsify" : "")
-            << (ef.orbits ? ", orbit schedule" : "") << ")\n";
+            << adj.num_nodes() << " nodes, " << adj.num_edges()
+            << " edges  (" << hbnet::par::resolve_threads(0)
+            << " threads, adjacency " << adj.describe()
+            << ", orbit schedule)\n";
 
   Streaming streaming;
-  streaming.start(stream_flags, "connectivity");
+  streaming.start(o, "connectivity");
 
   hbnet::SweepOptions opts;
   opts.vertex_transitive = true;  // Cayley graph: single-source is exact
-  opts.sparsify = ef.sparsify;
-  opts.max_blocks = ef.max_blocks;
-  if (ef.orbits) {
-    // Cube-bit permutations are automorphisms fixing vertex 0, so targets
-    // collapse to one representative per cube popcount class.
-    opts.orbit_rep = [m, n](hbnet::NodeId v) {
-      return hbnet::hb_cube_orbit_representative(m, n, v);
-    };
-  }
-  opts.checkpoint_path = ef.checkpoint;
+  opts.max_blocks = o.max_blocks;
+  // Cube-bit permutations are automorphisms fixing vertex 0, so targets
+  // collapse to one representative per cube popcount class.
+  opts.orbit_rep = [m, n](hbnet::NodeId v) {
+    return hbnet::hb_cube_orbit_representative(m, n, v);
+  };
+  opts.checkpoint_path = o.checkpoint;
   opts.metrics = &metrics;
   opts.progress = streaming.board_or_null();
   opts.on_block = [](const hbnet::SweepState& st,
@@ -543,10 +608,10 @@ int run_exact_connectivity(const HyperButterfly& hb, const ExactFlags& ef,
               << "/" << stage_blocks << "  bound " << st.bound << "  solves "
               << st.solves << "  pruned " << st.pruned << "\n";
   };
-  hbnet::ConnectivitySweep sweep(*adj, opts);
+  hbnet::ConnectivitySweep sweep(adj, opts);
   if (sweep.resumed()) {
     const hbnet::SweepState& st = sweep.state();
-    std::cout << "  resumed from " << ef.checkpoint << " at stage "
+    std::cout << "  resumed from " << o.checkpoint << " at stage "
               << st.stages_done << " block " << st.blocks_done << " (solves "
               << st.solves << ", pruned " << st.pruned << ")\n";
   } else if (!sweep.resume_note().empty()) {
@@ -560,18 +625,14 @@ int run_exact_connectivity(const HyperButterfly& hb, const ExactFlags& ef,
           .count();
   streaming.stop();
 
-  if (!ef.metrics_out.empty()) {
-    std::ofstream os(ef.metrics_out);
-    if (!os) {
-      std::cerr << "cannot open " << ef.metrics_out << "\n";
-      return 1;
-    }
-    metrics.write_json(os);
-    os << '\n';
-    std::cout << "  metrics: " << ef.metrics_out << "\n";
+  if (!write_file(o.metrics_out, "  metrics: ", [&](std::ostream& os) {
+        metrics.write_json(os);
+        os << '\n';
+      })) {
+    return 1;
   }
-  if (!ef.checkpoint.empty()) {
-    std::cout << "  checkpoint: " << ef.checkpoint << "\n";
+  if (!o.checkpoint.empty()) {
+    std::cout << "  checkpoint: " << o.checkpoint << "\n";
   }
   if (!r.complete) {
     std::cout << "  stopped before completion (resume with the same "
@@ -591,13 +652,175 @@ int run_exact_connectivity(const HyperButterfly& hb, const ExactFlags& ef,
   return 0;
 }
 
+int run_analyze(const HyperButterfly& hb, const Options& o) {
+  hbnet::Graph g = hb.to_graph();
+  std::cout << "analyze HB(" << hb.cube_dimension() << ","
+            << hb.butterfly_dimension() << ")  ("
+            << hbnet::par::resolve_threads(0) << " threads)\n"
+            << "  nodes / edges:     " << g.num_nodes() << " / "
+            << g.num_edges() << "\n"
+            << "  diameter:          " << hbnet::parallel_diameter(g)
+            << "  (formula " << hb.diameter_formula() << ")\n"
+            << "  average distance:  "
+            << hbnet::parallel_average_distance(g) << "\n"
+            << "  vertex connectivity: " << hbnet::vertex_connectivity(g)
+            << "  (degree " << hb.degree() << ")\n"
+            << "  edge connectivity:   " << hbnet::edge_connectivity(g)
+            << "\n";
+  if (o.audit) {
+    hbnet::DisjointPathsAudit a = hbnet::audit_disjoint_paths(hb);
+    std::cout << "  Theorem-5 audit:   " << a.pairs_checked << " pairs, "
+              << (a.ok ? "all families disjoint" : "FAILED: " + a.error)
+              << "\n";
+    if (!a.ok) return 1;
+  }
+  return 0;
+}
+
+int run_wormhole_cmd(unsigned m, unsigned n, const Options& o) {
+  hbnet::obs::Sink sink;
+  if (!o.trace_out.empty()) sink.enable_trace();
+  auto topo = hbnet::make_hyper_butterfly_sim(m, n);
+  hbnet::WormholeConfig cfg;
+  cfg.vcs = o.vcs;
+  cfg.flits_per_packet = o.flits;
+  cfg.injection_rate = o.rate;
+  cfg.measure_cycles = o.cycles;
+  if (o.warmup != kFlagUnset) cfg.warmup_cycles = o.warmup;
+  if (o.drain != kFlagUnset) cfg.drain_cycles = o.drain;
+  cfg.seed = o.seed;
+  cfg.pattern = o.pattern;
+  cfg.policy = o.policy;
+  // Static faults, derived from the run seed the same way campaign trials
+  // derive theirs: node ids from the fault stream (stream 1 of the
+  // splittable counter), link picks from an independent stream.
+  hbnet::WormholeFaults wf;
+  if (o.faults > 0 || o.link_faults > 0) {
+    const std::uint64_t fault_seed = camp::split_seed(o.seed, 0, 1);
+    if (o.faults > 0) {
+      if (o.faults >= topo->num_nodes()) {
+        std::cerr << "--faults: must be < num nodes (" << topo->num_nodes()
+                  << ")\n";
+        return 1;
+      }
+      wf.nodes.assign(topo->num_nodes(), 0);
+      for (const std::uint32_t v : camp::derived_fault_nodes(
+               fault_seed, topo->num_nodes(), o.faults)) {
+        wf.nodes[v] = 1;
+      }
+    }
+    if (o.link_faults > 0) {
+      if (o.link_faults >= topo->num_nodes()) {
+        std::cerr << "--link-faults: must be < num nodes ("
+                  << topo->num_nodes() << ")\n";
+        return 1;
+      }
+      wf.links = camp::derived_fault_links(fault_seed, *topo, o.link_faults);
+    }
+    if (cfg.policy != hbnet::VcPolicy::kFaultAdaptive) {
+      std::cerr << "--faults/--link-faults need --policy adaptive (vcs >= "
+                << hbnet::vc_classes(hbnet::VcPolicy::kFaultAdaptive)
+                << ")\n";
+      return 1;
+    }
+  }
+  Streaming streaming;
+  streaming.start(o, "wormhole");
+  // The butterfly level coordinate is node id mod n: the ring arity the
+  // dateline VC classes are computed from.
+  hbnet::WormholeStats s =
+      hbnet::run_wormhole(*topo, cfg, n, wf.any() ? &wf : nullptr, &sink,
+                          streaming.board_or_null());
+  streaming.stop();
+  std::cout << "wormhole HB(" << m << "," << n << ") " << topo->num_nodes()
+            << " nodes, rate " << o.rate << ", " << s.cycles << " cycles"
+            << (s.deadlocked ? " [DEADLOCK]" : "") << "\n  "
+            << s.packets.summary() << "\n  p50="
+            << s.packets.latency_percentile(0.5)
+            << " max=" << s.packets.max_latency() << "\n";
+  if (wf.any()) {
+    std::cout << "  faults: " << o.faults << " nodes, " << o.link_faults
+              << " links; misroutes=" << s.misroutes
+              << " escape_hops=" << s.escape_hops
+              << " unroutable=" << s.unroutable << "\n";
+  }
+  if (!export_sink(sink, o)) return 1;
+  return s.deadlocked ? 1 : 0;
+}
+
+int run_sim(const HyperButterfly& hb, const Options& o) {
+  const unsigned m = hb.cube_dimension();
+  const unsigned n = hb.butterfly_dimension();
+  hbnet::obs::Sink sink;
+  if (!o.trace_out.empty()) sink.enable_trace();
+  hbnet::SimConfig cfg;
+  cfg.injection_rate = o.rate;
+  cfg.measure_cycles = o.cycles;
+  if (o.warmup != kFlagUnset) cfg.warmup_cycles = o.warmup;
+  if (o.drain != kFlagUnset) cfg.drain_cycles = o.drain;
+  cfg.seed = o.seed;
+  cfg.pattern = o.pattern;
+  cfg.routing =
+      o.valiant ? hbnet::RoutingMode::kValiant : hbnet::RoutingMode::kNative;
+  // Telemetry aggregation is pay-for-what-you-watch: skip it entirely when
+  // nothing will be exported (at 10^6+ nodes the link/occupancy tables
+  // dominate an otherwise interactive run).
+  hbnet::obs::Sink* sink_ptr =
+      !o.trace_out.empty() || !o.metrics_out.empty() || !o.links_csv.empty()
+          ? &sink
+          : nullptr;
+  Streaming streaming;
+  streaming.start(o, "sim");
+  hbnet::SimStats s;
+  if (o.shards) {
+    s = hbnet::run_simulation_sharded(hb, cfg, *o.shards, 0, sink_ptr,
+                                      streaming.board_or_null());
+  } else {
+    auto topo = hbnet::make_hyper_butterfly_sim(m, n);
+    s = hbnet::run_simulation(*topo, cfg, {}, sink_ptr,
+                              streaming.board_or_null());
+  }
+  streaming.stop();
+  std::cout << "sim HB(" << m << "," << n << ") " << hb.num_nodes()
+            << " nodes, rate " << o.rate << "\n  " << s.summary()
+            << "\n  p50=" << s.latency_percentile(0.5)
+            << " max=" << s.max_latency() << "\n";
+  return export_sink(sink, o) ? 0 : 1;
+}
+
+int run_campaign_cmd(unsigned m, unsigned n, Options& o) {
+  camp::CampaignConfig& cfg = o.campaign;
+  cfg.m = m;
+  cfg.n = n;
+  Streaming streaming;
+  streaming.start(o, "campaign");
+  const camp::CampaignResult result =
+      camp::run_campaign(cfg, streaming.board_or_null());
+  streaming.stop();
+  std::cout << "campaign HB(" << m << "," << n << ") engine "
+            << camp::engine_name(cfg.engine) << ", " << result.trials.size()
+            << " trials over " << result.cells.size() << " cells (seed "
+            << cfg.seed << ")\n";
+  camp::write_campaign_table(std::cout, result);
+  const bool ok =
+      write_file(o.metrics_out, "metrics: ",
+                 [&](std::ostream& os) {
+                   result.metrics.write_json(os);
+                   os << '\n';
+                 }) &&
+      write_file(o.csv, "csv:     ", [&](std::ostream& os) {
+        camp::write_campaign_csv(os, result);
+      });
+  return ok ? 0 : 1;
+}
+
 }  // namespace
 
 int run(int argc, char** argv) {
   if (argc < 4) return usage();
   const std::string cmd = argv[1];
-  const std::optional<unsigned> m_arg = hbnet::campaign::parse_unsigned(argv[2]);
-  const std::optional<unsigned> n_arg = hbnet::campaign::parse_unsigned(argv[3]);
+  const std::optional<unsigned> m_arg = camp::parse_unsigned(argv[2]);
+  const std::optional<unsigned> n_arg = camp::parse_unsigned(argv[3]);
   if (!m_arg || !n_arg) {
     std::cerr << "m and n must be non-negative integers, got '" << argv[2]
               << "' '" << argv[3] << "'\n";
@@ -605,7 +828,50 @@ int run(int argc, char** argv) {
   }
   const unsigned m = *m_arg;
   const unsigned n = *n_arg;
+
+  // Positional arguments after <m> <n>, then flags in the command's scope.
+  int positional = 0;
+  unsigned scope = 0;
+  if (cmd == "label") {
+    positional = 1;
+  } else if (cmd == "route" || cmd == "disjoint") {
+    positional = 2;
+  } else if (cmd == "dot" || cmd == "edges") {
+    positional = argc >= 5 ? 1 : 0;
+  } else if (cmd == "analyze") {
+    scope = kAnalyze;
+  } else if (cmd == "wormhole") {
+    scope = kWormhole;
+  } else if (cmd == "sim") {
+    scope = kSim;
+  } else if (cmd == "campaign") {
+    scope = kCampaign;
+  } else if (cmd != "info" && cmd != "cuts" && cmd != "election") {
+    return usage();
+  }
+  if (argc < 4 + positional) return usage();
+  Options o;
+  const std::optional<unsigned> parsed =
+      parse_flags(argc, argv, 4 + positional, cmd, scope, o);
+  if (!parsed) return usage();
+  scope = *parsed;
+  hbnet::par::set_default_threads(o.threads);
+
   HyperButterfly hb(m, n);
+  switch (scope) {
+    case kAnalyze:
+      return run_analyze(hb, o);
+    case kExact:
+      return run_exact_connectivity(hb, o);
+    case kWormhole:
+      return run_wormhole_cmd(m, n, o);
+    case kSim:
+      return run_sim(hb, o);
+    case kCampaign:
+      return run_campaign_cmd(m, n, o);
+    default:
+      break;
+  }
 
   if (cmd == "info") {
     std::cout << "HB(" << m << "," << n << ")\n"
@@ -619,9 +885,8 @@ int run(int argc, char** argv) {
               << "  tolerates any " << hb.degree() - 1 << " node faults\n";
     return 0;
   }
-  if (cmd == "label" && argc >= 5) {
-    const std::optional<std::uint64_t> id_arg =
-        hbnet::campaign::parse_u64(argv[4]);
+  if (cmd == "label") {
+    const std::optional<std::uint64_t> id_arg = camp::parse_u64(argv[4]);
     if (!id_arg) {
       std::cerr << "bad vertex id '" << argv[4] << "'\n";
       return usage();
@@ -641,11 +906,9 @@ int run(int argc, char** argv) {
               << "]\n";
     return 0;
   }
-  if ((cmd == "route" || cmd == "disjoint") && argc >= 6) {
-    const std::optional<std::uint64_t> s_arg =
-        hbnet::campaign::parse_u64(argv[4]);
-    const std::optional<std::uint64_t> t_arg =
-        hbnet::campaign::parse_u64(argv[5]);
+  if (cmd == "route" || cmd == "disjoint") {
+    const std::optional<std::uint64_t> s_arg = camp::parse_u64(argv[4]);
+    const std::optional<std::uint64_t> t_arg = camp::parse_u64(argv[5]);
     if (!s_arg || !t_arg) {
       std::cerr << "bad vertex ids '" << argv[4] << "' '" << argv[5]
                 << "'\n";
@@ -681,7 +944,7 @@ int run(int argc, char** argv) {
   if (cmd == "dot" || cmd == "edges") {
     std::ofstream file;
     std::ostream* os = &std::cout;
-    if (argc >= 5) {
+    if (positional == 1) {
       file.open(argv[4]);
       if (!file) {
         std::cerr << "cannot open " << argv[4] << "\n";
@@ -716,329 +979,16 @@ int run(int argc, char** argv) {
               << hbnet::thompson_area_lower_bound(ub) << " grid units\n";
     return 0;
   }
-  if (cmd == "election") {
-    auto flood = hbnet::flood_max_election(hb.to_graph());
-    auto structured = hbnet::hb_structured_election(hb);
-    std::cout << "flood-max:  leader " << flood.leader << ", "
-              << flood.run.rounds << " rounds, " << flood.run.messages
-              << " messages\n"
-              << "structured: leader " << structured.leader << ", "
-              << structured.run.rounds << " rounds, "
-              << structured.run.messages << " messages\n";
-    return 0;
-  }
-  if (cmd == "analyze") {
-    bool audit = false;
-    bool exact = false;
-    ExactFlags exact_flags;
-    SimFlags stream_flags;
-    for (int i = 4; i < argc; ++i) {
-      const std::string a = argv[i];
-      if (a == "--threads" && i + 1 < argc) {
-        unsigned threads = 0;
-        if (!parse_flag_unsigned("--threads", argv[++i], threads)) {
-          return usage();
-        }
-        hbnet::par::set_default_threads(threads);
-      } else if (a == "--audit") {
-        audit = true;
-      } else if (a == "--exact-connectivity") {
-        exact = true;
-      } else if (a == "--sparsify") {
-        exact_flags.sparsify = true;
-      } else if (a == "--implicit") {
-        exact_flags.implicit = true;
-      } else if (a == "--no-orbits") {
-        exact_flags.orbits = false;
-      } else if (a == "--max-blocks" && i + 1 < argc) {
-        if (!parse_flag_u64("--max-blocks", argv[++i],
-                            exact_flags.max_blocks)) {
-          return usage();
-        }
-      } else if (a == "--progress") {
-        stream_flags.progress = true;
-      } else if (a == "--checkpoint" && i + 1 < argc) {
-        exact_flags.checkpoint = argv[++i];
-      } else if (a == "--metrics-out" && i + 1 < argc) {
-        exact_flags.metrics_out = argv[++i];
-      } else if (a == "--stream-out" && i + 1 < argc) {
-        stream_flags.stream_out = argv[++i];
-      } else if (a == "--prom-out" && i + 1 < argc) {
-        stream_flags.prom_out = argv[++i];
-      } else if (a == "--stream-interval-ms" && i + 1 < argc) {
-        if (!parse_flag_u64("--stream-interval-ms", argv[++i],
-                            stream_flags.stream_interval_ms)) {
-          return usage();
-        }
-      } else {
-        std::cerr << "unknown option " << a << "\n";
-        return usage();
-      }
-    }
-    if (exact) {
-      return run_exact_connectivity(hb, exact_flags, stream_flags);
-    }
-    hbnet::par::ThreadPool probe;
-    hbnet::Graph g = hb.to_graph();
-    std::cout << "analyze HB(" << m << "," << n << ")  (" << probe.size()
-              << " threads)\n"
-              << "  nodes / edges:     " << g.num_nodes() << " / "
-              << g.num_edges() << "\n"
-              << "  diameter:          " << hbnet::parallel_diameter(g)
-              << "  (formula " << hb.diameter_formula() << ")\n"
-              << "  average distance:  "
-              << hbnet::parallel_average_distance(g) << "\n"
-              << "  vertex connectivity: " << hbnet::vertex_connectivity(g)
-              << "  (degree " << hb.degree() << ")\n"
-              << "  edge connectivity:   " << hbnet::edge_connectivity(g)
-              << "\n";
-    if (audit) {
-      hbnet::DisjointPathsAudit a = hbnet::audit_disjoint_paths(hb);
-      std::cout << "  Theorem-5 audit:   " << a.pairs_checked << " pairs, "
-                << (a.ok ? "all families disjoint" : "FAILED: " + a.error)
-                << "\n";
-      if (!a.ok) return 1;
-    }
-    return 0;
-  }
-  if (cmd == "wormhole" || cmd == "sim") {
-    SimFlags flags;
-    if (!parse_sim_flags(argc, argv, 4, flags)) return usage();
-    hbnet::obs::Sink sink;
-    if (!flags.trace_out.empty()) sink.enable_trace();
-
-    if (cmd == "wormhole") {
-      auto topo = hbnet::make_hyper_butterfly_sim(m, n);
-      hbnet::WormholeConfig cfg;
-      cfg.vcs = flags.vcs;
-      cfg.flits_per_packet = flags.flits;
-      cfg.injection_rate = flags.rate;
-      cfg.measure_cycles = flags.cycles;
-      if (flags.warmup != kFlagUnset) cfg.warmup_cycles = flags.warmup;
-      if (flags.drain != kFlagUnset) cfg.drain_cycles = flags.drain;
-      cfg.seed = flags.seed;
-      cfg.pattern = flags.pattern;
-      cfg.policy = flags.policy;
-      // Static faults, derived from the run seed the same way campaign
-      // trials derive theirs: node ids from the fault stream (stream 1 of
-      // the splittable counter), link picks from an independent stream.
-      hbnet::WormholeFaults wf;
-      if (flags.faults > 0 || flags.link_faults > 0) {
-        namespace camp = hbnet::campaign;
-        const std::uint64_t fault_seed = camp::split_seed(flags.seed, 0, 1);
-        if (flags.faults > 0) {
-          if (flags.faults >= topo->num_nodes()) {
-            std::cerr << "--faults: must be < num nodes ("
-                      << topo->num_nodes() << ")\n";
-            return 1;
-          }
-          wf.nodes.assign(topo->num_nodes(), 0);
-          for (const std::uint32_t v :
-               camp::derived_fault_nodes(fault_seed, topo->num_nodes(),
-                                         flags.faults)) {
-            wf.nodes[v] = 1;
-          }
-        }
-        if (flags.link_faults > 0) {
-          if (flags.link_faults >= topo->num_nodes()) {
-            std::cerr << "--link-faults: must be < num nodes ("
-                      << topo->num_nodes() << ")\n";
-            return 1;
-          }
-          wf.links =
-              camp::derived_fault_links(fault_seed, *topo, flags.link_faults);
-        }
-        if (cfg.policy != hbnet::VcPolicy::kFaultAdaptive) {
-          std::cerr << "--faults/--link-faults need --policy adaptive (vcs"
-                       " >= "
-                    << hbnet::vc_classes(hbnet::VcPolicy::kFaultAdaptive)
-                    << ")\n";
-          return 1;
-        }
-      }
-      Streaming streaming;
-      streaming.start(flags, "wormhole");
-      // The butterfly level coordinate is node id mod n: the ring arity
-      // the dateline VC classes are computed from.
-      hbnet::WormholeStats s =
-          hbnet::run_wormhole(*topo, cfg, n, wf.any() ? &wf : nullptr, &sink,
-                              streaming.board_or_null());
-      streaming.stop();
-      std::cout << "wormhole HB(" << m << "," << n << ") "
-                << topo->num_nodes() << " nodes, rate " << flags.rate
-                << ", " << s.cycles << " cycles"
-                << (s.deadlocked ? " [DEADLOCK]" : "") << "\n  "
-                << s.packets.summary() << "\n  p50="
-                << s.packets.latency_percentile(0.5)
-                << " max=" << s.packets.max_latency() << "\n";
-      if (wf.any()) {
-        std::cout << "  faults: " << flags.faults << " nodes, "
-                  << flags.link_faults << " links; misroutes=" << s.misroutes
-                  << " escape_hops=" << s.escape_hops
-                  << " unroutable=" << s.unroutable << "\n";
-      }
-      if (!export_sink(sink, flags)) return 1;
-      return s.deadlocked ? 1 : 0;
-    }
-
-    hbnet::SimConfig cfg;
-    cfg.injection_rate = flags.rate;
-    cfg.measure_cycles = flags.cycles;
-    if (flags.warmup != kFlagUnset) cfg.warmup_cycles = flags.warmup;
-    if (flags.drain != kFlagUnset) cfg.drain_cycles = flags.drain;
-    cfg.seed = flags.seed;
-    cfg.pattern = flags.pattern;
-    cfg.routing = flags.valiant ? hbnet::RoutingMode::kValiant
-                                : hbnet::RoutingMode::kNative;
-    // Telemetry aggregation is pay-for-what-you-watch: skip it entirely
-    // when nothing will be exported (at 10^6+ nodes the link/occupancy
-    // tables dominate an otherwise interactive run).
-    hbnet::obs::Sink* sink_ptr = !flags.trace_out.empty() ||
-                                         !flags.metrics_out.empty() ||
-                                         !flags.links_csv.empty()
-                                     ? &sink
-                                     : nullptr;
-    Streaming streaming;
-    streaming.start(flags, "sim");
-    hbnet::SimStats s;
-    if (flags.sharded) {
-      s = hbnet::run_simulation_sharded(hb, cfg, flags.shards, 0, sink_ptr,
-                                        streaming.board_or_null());
-    } else {
-      auto topo = hbnet::make_hyper_butterfly_sim(m, n);
-      s = hbnet::run_simulation(*topo, cfg, {}, sink_ptr,
-                                streaming.board_or_null());
-    }
-    streaming.stop();
-    std::cout << "sim HB(" << m << "," << n << ") " << hb.num_nodes()
-              << " nodes, rate " << flags.rate << "\n  " << s.summary()
-              << "\n  p50=" << s.latency_percentile(0.5)
-              << " max=" << s.max_latency() << "\n";
-    if (!export_sink(sink, flags)) return 1;
-    return 0;
-  }
-  if (cmd == "campaign") {
-    namespace camp = hbnet::campaign;
-    camp::CampaignConfig cfg;
-    cfg.m = m;
-    cfg.n = n;
-    std::string metrics_out, csv_out;
-    SimFlags stream_flags;
-    for (int i = 4; i < argc; ++i) {
-      const std::string a = argv[i];
-      // Value-less flags come before the "needs a value" check.
-      if (a == "--progress") {
-        stream_flags.progress = true;
-        continue;
-      }
-      if (i + 1 >= argc) {
-        std::cerr << a << " needs a value\n";
-        return usage();
-      }
-      const char* v = argv[++i];
-      if (a == "--models") {
-        cfg.models.clear();
-        std::string_view rest = v;
-        while (true) {
-          const std::size_t comma = rest.find(',');
-          const std::string_view piece = rest.substr(0, comma);
-          const std::optional<camp::FaultModel> model =
-              camp::fault_model_from_name(piece);
-          if (!model) {
-            std::cerr << "--models: unknown fault model '" << piece
-                      << "' (random|adversarial|events|links)\n";
-            return usage();
-          }
-          cfg.models.push_back(*model);
-          if (comma == std::string_view::npos) break;
-          rest.remove_prefix(comma + 1);
-        }
-      } else if (a == "--rates") {
-        const std::optional<std::vector<double>> rates =
-            camp::parse_double_list(v);
-        if (!rates) {
-          std::cerr << "--rates: expected comma-separated numbers, got '"
-                    << v << "'\n";
-          return usage();
-        }
-        cfg.rates = *rates;
-      } else if (a == "--faults") {
-        const std::optional<std::vector<unsigned>> faults =
-            camp::parse_unsigned_list(v);
-        if (!faults) {
-          std::cerr << "--faults: expected comma-separated integers, got '"
-                    << v << "'\n";
-          return usage();
-        }
-        cfg.fault_counts = *faults;
-      } else if (a == "--trials") {
-        if (!parse_flag_unsigned("--trials", v, cfg.trials)) return usage();
-      } else if (a == "--seed") {
-        if (!parse_flag_u64("--seed", v, cfg.seed)) return usage();
-      } else if (a == "--engine") {
-        const std::optional<camp::Engine> engine = camp::engine_from_name(v);
-        if (!engine) {
-          std::cerr << "--engine: expected sf|wormhole, got '" << v << "'\n";
-          return usage();
-        }
-        cfg.engine = *engine;
-      } else if (a == "--cycles") {
-        std::uint64_t cycles = 0;
-        if (!parse_flag_u64("--cycles", v, cycles)) return usage();
-        cfg.sim.measure_cycles = cycles;
-        cfg.wormhole.measure_cycles = cycles;
-      } else if (a == "--threads") {
-        if (!parse_flag_unsigned("--threads", v, cfg.threads)) return usage();
-      } else if (a == "--metrics-out") {
-        metrics_out = v;
-      } else if (a == "--csv") {
-        csv_out = v;
-      } else if (a == "--stream-out") {
-        stream_flags.stream_out = v;
-      } else if (a == "--prom-out") {
-        stream_flags.prom_out = v;
-      } else if (a == "--stream-interval-ms") {
-        if (!parse_flag_u64("--stream-interval-ms", v,
-                            stream_flags.stream_interval_ms)) {
-          return usage();
-        }
-      } else {
-        std::cerr << "unknown option " << a << "\n";
-        return usage();
-      }
-    }
-    Streaming streaming;
-    streaming.start(stream_flags, "campaign");
-    const camp::CampaignResult result =
-        camp::run_campaign(cfg, streaming.board_or_null());
-    streaming.stop();
-    std::cout << "campaign HB(" << m << "," << n << ") engine "
-              << camp::engine_name(cfg.engine) << ", " << result.trials.size()
-              << " trials over " << result.cells.size() << " cells (seed "
-              << cfg.seed << ")\n";
-    camp::write_campaign_table(std::cout, result);
-    if (!metrics_out.empty()) {
-      std::ofstream os(metrics_out);
-      if (!os) {
-        std::cerr << "cannot open " << metrics_out << "\n";
-        return 1;
-      }
-      result.metrics.write_json(os);
-      os << '\n';
-      std::cout << "metrics: " << metrics_out << "\n";
-    }
-    if (!csv_out.empty()) {
-      std::ofstream os(csv_out);
-      if (!os) {
-        std::cerr << "cannot open " << csv_out << "\n";
-        return 1;
-      }
-      camp::write_campaign_csv(os, result);
-      std::cout << "csv:     " << csv_out << "\n";
-    }
-    return 0;
-  }
-  return usage();
+  // election
+  auto flood = hbnet::flood_max_election(hb.to_graph());
+  auto structured = hbnet::hb_structured_election(hb);
+  std::cout << "flood-max:  leader " << flood.leader << ", "
+            << flood.run.rounds << " rounds, " << flood.run.messages
+            << " messages\n"
+            << "structured: leader " << structured.leader << ", "
+            << structured.run.rounds << " rounds, "
+            << structured.run.messages << " messages\n";
+  return 0;
 }
 
 int main(int argc, char** argv) {
