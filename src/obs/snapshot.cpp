@@ -23,6 +23,16 @@ std::uint64_t now_unix_ms() {
           .count());
 }
 
+/// Exporting is best-effort: a path that cannot be written never fails or
+/// changes the run, but it is reported once, on its first failed open, so a
+/// mistyped path does not look like a working export.
+void warn_unwritable(bool& warned, const char* what, const std::string& path) {
+  if (warned) return;
+  warned = true;
+  std::fprintf(stderr, "warning: cannot write %s '%s'; skipping it\n", what,
+               path.c_str());
+}
+
 }  // namespace
 
 Snapshotter::Snapshotter(const ProgressBoard& board, SnapshotterOptions options)
@@ -110,7 +120,10 @@ void Snapshotter::write_stream_line(
   // One append + flush per line: a tailing reader sees whole lines (or
   // nothing), never a torn object.
   std::ofstream os(options_.stream_path, std::ios::app);
-  if (!os) return;  // exporting is best-effort; the engine never notices
+  if (!os) {
+    warn_unwritable(stream_warned_, "snapshot stream", options_.stream_path);
+    return;
+  }
   os << line.str();
   os.flush();
 }
@@ -122,7 +135,10 @@ void Snapshotter::write_prom_file(
   const std::string tmp = options_.prom_path + ".tmp";
   {
     std::ofstream os(tmp, std::ios::trunc);
-    if (!os) return;
+    if (!os) {
+      warn_unwritable(prom_warned_, "exposition file", options_.prom_path);
+      return;
+    }
     os << "# hbnet progress exposition (job=" << options_.job << ")\n";
     os << "hbnet_snapshot_unix_ms " << unix_ms << "\n";
     for (const auto& [name, value] : values) {

@@ -12,9 +12,10 @@
 //
 // The exporter is a pure observer: it reads the board with relaxed loads
 // and never feeds anything back into the engines, so attaching one
-// cannot perturb results. This file is the sanctioned home for wall
-// clocks (hblint rule wall-clock-outside-obs): snapshot timestamps are
-// real time by design and never reach simulation state.
+// cannot perturb results. A path it cannot open gets one stderr warning
+// and is skipped; the run goes on unchanged. This file is the sanctioned
+// home for wall clocks (hblint rule wall-clock-outside-obs): snapshot
+// timestamps are real time by design and never reach simulation state.
 #pragma once
 
 #include <condition_variable>
@@ -81,6 +82,10 @@ class Snapshotter {
   bool running_ = false;
   bool stop_requested_ = false;
   std::uint64_t seq_ = 0;
+  // One warning per unwritable path. Only one thread writes at a time:
+  // start() before the exporter thread exists, stop() after joining it.
+  bool stream_warned_ = false;
+  bool prom_warned_ = false;
 };
 
 }  // namespace hbnet::obs

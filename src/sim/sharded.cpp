@@ -323,9 +323,6 @@ SimStats run_simulation_sharded(const HyperButterfly& hb,
   for (const Shard& sh : shard) stats.merge(sh.stats);
 
   if (sink != nullptr) {
-    const std::uint64_t cycles = std::min(cycle + 1, horizon);
-    sink->set_run_cycles(cycles);
-
     obs::TimeSeries& inject_ts = sink->time_series("sim.injected", ts_bucket);
     obs::TimeSeries& deliver_ts = sink->time_series("sim.delivered", ts_bucket);
     for (const Shard& sh : shard) {
@@ -339,11 +336,10 @@ SimStats run_simulation_sharded(const HyperButterfly& hb,
       }
     }
 
-    // Link table: expand (node, generator) tallies into directed (src, dst)
-    // records, canonically ordered by the packed key exactly like the
-    // serial engine's export.
+    // Link table: expand (node, generator) tallies into packed (src, dst)
+    // records; export_sf_run orders them like the serial engine's.
     const std::vector<HbGen> gens = hb.generators();
-    std::vector<std::pair<std::uint64_t, std::uint64_t>> by_key;
+    std::vector<std::pair<std::uint64_t, std::uint64_t>> link_counts;
     for (const Shard& sh : shard) {
       for (std::uint32_t local = 0; local < sh.local_count(); ++local) {
         const HbNode u = hb.node_at(sh.begin + local);
@@ -353,22 +349,11 @@ SimStats run_simulation_sharded(const HyperButterfly& hb,
           if (count == 0) continue;
           const auto dst =
               static_cast<std::uint32_t>(hb.index_of(hb.apply(u, gens[gi])));
-          by_key.emplace_back(
+          link_counts.emplace_back(
               (static_cast<std::uint64_t>(sh.begin + local) << 32) | dst,
               count);
         }
       }
-    }
-    std::sort(by_key.begin(), by_key.end());
-    std::uint64_t moves_total = 0;
-    sink->links().reserve(sink->links().size() + by_key.size());
-    for (const auto& [key, count] : by_key) {
-      obs::LinkStats link;
-      link.src = static_cast<std::uint32_t>(key >> 32);
-      link.dst = static_cast<std::uint32_t>(key & 0xffffffffu);
-      link.forwarded = count;
-      moves_total += count;
-      sink->links().push_back(std::move(link));
     }
 
     std::vector<std::uint64_t> node_occ(n, 0);
@@ -376,15 +361,9 @@ SimStats run_simulation_sharded(const HyperButterfly& hb,
       std::copy(sh.node_occ.begin(), sh.node_occ.end(),
                 node_occ.begin() + sh.begin);
     }
-    sink->node_occupancy() = std::move(node_occ);
-
-    obs::MetricsRegistry& reg = sink->metrics();
-    reg.counter("sim.injected").inc(stats.injected());
-    reg.counter("sim.delivered").inc(stats.delivered());
-    reg.counter("sim.dropped").inc(stats.dropped());
-    reg.counter("sim.packet_moves").inc(moves_total);
-    reg.counter("sim.cycles").inc(cycles);
-    reg.histogram("sim.packet_latency").merge(stats.latency_histogram());
+    // Fault-free by scope: no packet is ever dropped for want of a route.
+    detail::export_sf_run(*sink, std::min(cycle + 1, horizon), stats,
+                          std::move(link_counts), std::move(node_occ), 0, 0);
   }
   return stats;
 }

@@ -51,9 +51,11 @@ class ProgressBoard;
 /// Runs `config` on HB `hb` over `shards` contiguous node shards using
 /// `threads` pool workers (0 = one shard per resolved worker / the --threads
 /// default). Reports through `sink` and `progress` exactly like
-/// run_simulation: same metric names, link table, node occupancy integrals,
-/// and time series; per-packet trace spans are not emitted (at this scale
-/// they would dwarf the run).
+/// run_simulation: the end-of-run export is the same detail::export_sf_run
+/// (same metric names -- the two drop-cause counters read 0 here -- link
+/// table and node occupancy integrals), plus the same time series;
+/// per-packet trace spans are not emitted (at this scale they would dwarf
+/// the run).
 [[nodiscard]] SimStats run_simulation_sharded(
     const HyperButterfly& hb, const SimConfig& config, unsigned shards = 0,
     unsigned threads = 0, obs::Sink* sink = nullptr,

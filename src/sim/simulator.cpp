@@ -21,8 +21,8 @@ struct Packet {
   bool measured = false;  // injected inside the measurement window
 };
 
-/// Store-and-forward telemetry, active only when a sink is attached. Shared
-/// by the static-fault and fault-event runs so both report identically.
+/// Store-and-forward telemetry of the serial cycle loop, active only when a
+/// sink is attached.
 struct SfTelemetry {
   obs::Sink* sink = nullptr;
   std::unordered_map<std::uint64_t, std::uint64_t> link_moves;
@@ -98,51 +98,31 @@ struct SfTelemetry {
 
   void finish(std::uint64_t cycles, const SimStats& stats) {
     if (sink == nullptr) return;
-    sink->set_run_cycles(cycles);
-    // Sorted extraction: link_moves is a hash map, so its iteration order is
-    // an implementation detail. The exported link table is ordered by
-    // (src, dst) -- the packed key -- so telemetry output is canonical and
-    // byte-identical across runs and standard libraries.
-    std::vector<std::pair<std::uint64_t, std::uint64_t>> by_key(
-        link_moves.begin(), link_moves.end());
-    std::sort(by_key.begin(), by_key.end());
-    std::uint64_t moves_total = 0;
-    sink->links().reserve(sink->links().size() + by_key.size());
-    for (const auto& [key, count] : by_key) {
-      obs::LinkStats link;
-      link.src = static_cast<std::uint32_t>(key >> 32);
-      link.dst = static_cast<std::uint32_t>(key & 0xffffffffu);
-      link.forwarded = count;
-      moves_total += count;
-      sink->links().push_back(std::move(link));
-    }
-    sink->node_occupancy() = node_occ;
-    obs::MetricsRegistry& reg = sink->metrics();
-    reg.counter("sim.injected").inc(stats.injected());
-    reg.counter("sim.delivered").inc(stats.delivered());
-    reg.counter("sim.dropped").inc(stats.dropped());
-    reg.counter("sim.dropped_unroutable").inc(dropped_unroutable);
-    reg.counter("sim.dropped_unsupported").inc(dropped_unsupported);
-    reg.counter("sim.packet_moves").inc(moves_total);
-    reg.counter("sim.cycles").inc(cycles);
-    reg.histogram("sim.packet_latency").merge(stats.latency_histogram());
+    // link_moves is a hash map; export_sf_run sorts what it iterates.
+    detail::export_sf_run(*sink, cycles, stats,
+                          {link_moves.begin(), link_moves.end()},
+                          std::move(node_occ), dropped_unroutable,
+                          dropped_unsupported);
   }
 };
 
-}  // namespace
-
-SimStats run_simulation(const SimTopology& topo, const SimConfig& config,
-                        const std::vector<char>& faulty, obs::Sink* sink,
-                        obs::ProgressBoard* progress) {
+/// The serial cycle loop behind both entry points, with the routing rule
+/// stated in simulator.hpp. `faulty` is the fault state at cycle 0 (empty:
+/// no static faults) and `events`, sorted by cycle, kill further nodes.
+SimStats run_cycles(const SimTopology& topo, const SimConfig& config,
+                    std::vector<char> faulty,
+                    const std::vector<FaultEvent>& events, obs::Sink* sink,
+                    obs::ProgressBoard* progress) {
   const std::uint32_t n = topo.num_nodes();
-  HBNET_CHECK_MSG(faulty.empty() || faulty.size() == n,
-                  "run_simulation: fault mask must be empty or num_nodes()");
-  const bool have_faults = !faulty.empty();
+  const bool have_faults = !faulty.empty() || !events.empty();
+  if (have_faults) faulty.resize(n, 0);
+  std::size_t next_event = 0;
 
   SimStats stats;
   std::mt19937_64 rng(config.seed);
   std::uniform_real_distribution<double> coin(0.0, 1.0);
-  TrafficGenerator traffic(config.pattern, n, config.seed ^ 0x9e3779b97f4a7c15ull);
+  TrafficGenerator traffic(config.pattern, n,
+                           config.seed ^ 0x9e3779b97f4a7c15ull);
 
   std::vector<std::deque<Packet>> queue(n);
   const std::uint64_t horizon =
@@ -154,6 +134,23 @@ SimStats run_simulation(const SimTopology& topo, const SimConfig& config,
 
   std::uint64_t cycle = 0;
   for (; cycle < horizon; ++cycle) {
+    // Fault arrivals: kill nodes, losing their queued packets.
+    while (next_event < events.size() && events[next_event].cycle <= cycle) {
+      std::uint32_t dead = events[next_event].node;
+      if (!faulty[dead]) {
+        faulty[dead] = 1;
+        HBNET_TRACE_INSTANT(sink, "fault", "node_death", 0, dead, cycle,
+                            {{"node", dead},
+                             {"lost_packets", queue[dead].size()}});
+        for (const Packet& pkt : queue[dead]) {
+          if (pkt.measured) stats.record_drop();
+          --in_flight;
+        }
+        queue[dead].clear();
+      }
+      ++next_event;
+    }
+
     const bool injecting =
         cycle < config.warmup_cycles + config.measure_cycles;
     const bool measuring =
@@ -211,125 +208,11 @@ SimStats run_simulation(const SimTopology& topo, const SimConfig& config,
       for (unsigned s = 0; s < config.service_rate && !queue[v].empty(); ++s) {
         Packet pkt = std::move(queue[v].front());
         queue[v].pop_front();
-        ++pkt.hop;
-        HBNET_DCHECK(pkt.hop < pkt.path.size());
-        std::uint32_t next = pkt.path[pkt.hop];
-        telem.on_move(v, next);
-        if (pkt.hop + 1 == pkt.path.size()) {
-          // Delivered at `next`.
-          if (pkt.measured) {
-            stats.record_delivery(cycle + 1 - pkt.injected_at,
-                                  pkt.path.size() - 1);
-          }
-          telem.on_deliver(cycle, pkt);
-          HBNET_DCHECK(in_flight > 0);
-          --in_flight;
-        } else {
-          moving.emplace_back(next, std::move(pkt));
-        }
-      }
-    }
-    for (auto& [node, pkt] : moving) {
-      queue[node].push_back(std::move(pkt));
-    }
-    telem.sweep(queue, cycle, in_flight);
-    if (!injecting && in_flight == 0) break;
-  }
-  telem.finish(std::min(cycle + 1, horizon), stats);
-  return stats;
-}
-
-SimStats run_simulation_with_fault_events(const SimTopology& topo,
-                                          const SimConfig& config,
-                                          std::vector<FaultEvent> events,
-                                          obs::Sink* sink,
-                                          obs::ProgressBoard* progress) {
-  const std::uint32_t n = topo.num_nodes();
-  for (const FaultEvent& ev : events) {
-    HBNET_CHECK_MSG(ev.node < n,
-                    "run_simulation_with_fault_events: event node out of "
-                    "range");
-  }
-  std::sort(events.begin(), events.end(),
-            [](const FaultEvent& a, const FaultEvent& b) {
-              return a.cycle < b.cycle;
-            });
-  std::vector<char> faulty(n, 0);
-  std::size_t next_event = 0;
-
-  SimStats stats;
-  std::mt19937_64 rng(config.seed);
-  std::uniform_real_distribution<double> coin(0.0, 1.0);
-  TrafficGenerator traffic(config.pattern, n,
-                           config.seed ^ 0x9e3779b97f4a7c15ull);
-
-  std::vector<std::deque<Packet>> queue(n);
-  const std::uint64_t horizon =
-      config.warmup_cycles + config.measure_cycles + config.drain_cycles;
-  std::uint64_t in_flight = 0;
-  SfTelemetry telem(sink, n, config, progress);
-  // Hoisted per-cycle scratch: cleared each cycle, capacity persists.
-  std::vector<std::pair<std::uint32_t, Packet>> moving;
-
-  std::uint64_t cycle = 0;
-  for (; cycle < horizon; ++cycle) {
-    // Fault arrivals: kill nodes, losing their queued packets.
-    while (next_event < events.size() && events[next_event].cycle <= cycle) {
-      std::uint32_t dead = events[next_event].node;
-      if (!faulty[dead]) {
-        faulty[dead] = 1;
-        HBNET_TRACE_INSTANT(sink, "fault", "node_death", 0, dead, cycle,
-                            {{"node", dead},
-                             {"lost_packets", queue[dead].size()}});
-        for (const Packet& pkt : queue[dead]) {
-          if (pkt.measured) stats.record_drop();
-          --in_flight;
-        }
-        queue[dead].clear();
-      }
-      ++next_event;
-    }
-
-    const bool injecting = cycle < config.warmup_cycles + config.measure_cycles;
-    const bool measuring = cycle >= config.warmup_cycles && injecting;
-
-    if (injecting) {
-      for (std::uint32_t src = 0; src < n; ++src) {
-        if (faulty[src]) continue;
-        if (coin(rng) >= config.injection_rate) continue;
-        std::uint32_t dst = traffic.destination(src);
-        if (faulty[dst]) continue;
-        Packet pkt;
-        SimFaultRoute planned = topo.route_avoiding(src, dst, faulty);
-        if (planned.ok()) {
-          pkt.path = std::move(planned.path);
-        } else {
-          // Fall back to the native route when no surviving path is known
-          // yet (or the adapter lacks fault routing): drops are then counted
-          // below when the packet actually hits a dead hop.
-          pkt.path = topo.route(src, dst);
-        }
-        pkt.injected_at = cycle;
-        pkt.measured = measuring;
-        if (measuring) stats.record_injection();
-        telem.on_inject(cycle);
-        if (pkt.path.size() <= 1) {
-          if (pkt.measured) stats.record_delivery(0, 0);
-          continue;
-        }
-        queue[src].push_back(std::move(pkt));
-        ++in_flight;
-      }
-    }
-
-    moving.clear();
-    for (std::uint32_t v = 0; v < n; ++v) {
-      for (unsigned s = 0; s < config.service_rate && !queue[v].empty(); ++s) {
-        Packet pkt = std::move(queue[v].front());
-        queue[v].pop_front();
+        HBNET_DCHECK(pkt.hop + 1 < pkt.path.size());
         std::uint32_t next = pkt.path[pkt.hop + 1];
-        if (faulty[next]) {
+        if (have_faults && faulty[next]) {
           // Online repair: re-source-route from here around the faults.
+          // Only a node that died after this packet was routed gets here.
           std::uint32_t dst = pkt.path.back();
           SimFaultRoute repaired;
           if (faulty[dst]) {
@@ -357,22 +240,89 @@ SimStats run_simulation_with_fault_events(const SimTopology& topo,
         ++pkt.hop;
         telem.on_move(v, next);
         if (pkt.hop + 1 == pkt.path.size()) {
+          // Delivered at `next`.
           if (pkt.measured) {
             stats.record_delivery(cycle + 1 - pkt.injected_at, pkt.hop);
           }
           telem.on_deliver(cycle, pkt);
+          HBNET_DCHECK(in_flight > 0);
           --in_flight;
         } else {
           moving.emplace_back(next, std::move(pkt));
         }
       }
     }
-    for (auto& [node, pkt] : moving) queue[node].push_back(std::move(pkt));
+    for (auto& [node, pkt] : moving) {
+      queue[node].push_back(std::move(pkt));
+    }
     telem.sweep(queue, cycle, in_flight);
     if (!injecting && in_flight == 0 && next_event >= events.size()) break;
   }
   telem.finish(std::min(cycle + 1, horizon), stats);
   return stats;
+}
+
+}  // namespace
+
+namespace detail {
+
+void export_sf_run(
+    obs::Sink& sink, std::uint64_t cycles, const SimStats& stats,
+    std::vector<std::pair<std::uint64_t, std::uint64_t>> link_counts,
+    std::vector<std::uint64_t> node_occ, std::uint64_t dropped_unroutable,
+    std::uint64_t dropped_unsupported) {
+  sink.set_run_cycles(cycles);
+  // The link table is ordered by (src, dst) -- the packed key -- whatever
+  // order the engine tallied it in, so telemetry output is canonical and
+  // byte-identical across runs, engines and standard libraries.
+  std::sort(link_counts.begin(), link_counts.end());
+  std::uint64_t moves_total = 0;
+  sink.links().reserve(sink.links().size() + link_counts.size());
+  for (const auto& [key, count] : link_counts) {
+    obs::LinkStats link;
+    link.src = static_cast<std::uint32_t>(key >> 32);
+    link.dst = static_cast<std::uint32_t>(key & 0xffffffffu);
+    link.forwarded = count;
+    moves_total += count;
+    sink.links().push_back(std::move(link));
+  }
+  sink.node_occupancy() = std::move(node_occ);
+  obs::MetricsRegistry& reg = sink.metrics();
+  reg.counter("sim.injected").inc(stats.injected());
+  reg.counter("sim.delivered").inc(stats.delivered());
+  reg.counter("sim.dropped").inc(stats.dropped());
+  reg.counter("sim.dropped_unroutable").inc(dropped_unroutable);
+  reg.counter("sim.dropped_unsupported").inc(dropped_unsupported);
+  reg.counter("sim.packet_moves").inc(moves_total);
+  reg.counter("sim.cycles").inc(cycles);
+  reg.histogram("sim.packet_latency").merge(stats.latency_histogram());
+}
+
+}  // namespace detail
+
+SimStats run_simulation(const SimTopology& topo, const SimConfig& config,
+                        const std::vector<char>& faulty, obs::Sink* sink,
+                        obs::ProgressBoard* progress) {
+  HBNET_CHECK_MSG(faulty.empty() || faulty.size() == topo.num_nodes(),
+                  "run_simulation: fault mask must be empty or num_nodes()");
+  return run_cycles(topo, config, faulty, {}, sink, progress);
+}
+
+SimStats run_simulation_with_fault_events(const SimTopology& topo,
+                                          const SimConfig& config,
+                                          std::vector<FaultEvent> events,
+                                          obs::Sink* sink,
+                                          obs::ProgressBoard* progress) {
+  for (const FaultEvent& ev : events) {
+    HBNET_CHECK_MSG(ev.node < topo.num_nodes(),
+                    "run_simulation_with_fault_events: event node out of "
+                    "range");
+  }
+  std::sort(events.begin(), events.end(),
+            [](const FaultEvent& a, const FaultEvent& b) {
+              return a.cycle < b.cycle;
+            });
+  return run_cycles(topo, config, {}, events, sink, progress);
 }
 
 }  // namespace hbnet

@@ -8,12 +8,18 @@
 //    FIFO (the router bottleneck); buffers are unbounded, so contention
 //    shows up as queueing latency rather than drops;
 //  * injection is Bernoulli(rate) per node per cycle;
-//  * faulty nodes neither inject nor forward; packets are rerouted at
-//    injection with the topology's fault-tolerant algorithm when it has one
-//    (otherwise the packet is dropped and counted).
+//  * faulty nodes neither inject nor forward. A run with any fault (a
+//    non-empty mask or a non-empty schedule) routes every packet around the
+//    current faults with the topology's fault-tolerant algorithm from
+//    cycle 0, and drops it at injection, counted by cause, when that fails
+//    (no surviving path, or the adapter has none); a run with neither
+//    routes natively (or Valiant). Both entry points run one cycle loop: a
+//    static mask is the fault state at cycle 0, and scheduled events
+//    change it.
 #pragma once
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "obs/sink.hpp"
@@ -74,11 +80,28 @@ struct FaultEvent {
 /// fault-tolerant algorithm (dropped if it has none or no path survives);
 /// packets queued *at* a dying node are lost outright. Measures how the
 /// Theorem-5 machinery behaves online rather than only at injection time.
+/// An empty schedule is exactly run_simulation(topo, config); events at
+/// cycle 0 are exactly the same nodes given as a static mask.
 /// Every event's node must be < topo.num_nodes(); an out-of-range node is
 /// a caller bug and fails an HBNET_CHECK (process abort).
 [[nodiscard]] SimStats run_simulation_with_fault_events(
     const SimTopology& topo, const SimConfig& config,
     std::vector<FaultEvent> events, obs::Sink* sink = nullptr,
     obs::ProgressBoard* progress = nullptr);
+
+namespace detail {
+
+/// End-of-run SF telemetry export, shared with run_simulation_sharded so the
+/// SF metric names live in one place: the run length, the link table
+/// (packed (src << 32 | dst) -> count pairs in any order, exported sorted by
+/// (src, dst)), the node occupancy integrals, the sim.* counters and the
+/// sim.packet_latency histogram.
+void export_sf_run(
+    obs::Sink& sink, std::uint64_t cycles, const SimStats& stats,
+    std::vector<std::pair<std::uint64_t, std::uint64_t>> link_counts,
+    std::vector<std::uint64_t> node_occ, std::uint64_t dropped_unroutable,
+    std::uint64_t dropped_unsupported);
+
+}  // namespace detail
 
 }  // namespace hbnet

@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <regex>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -203,6 +205,37 @@ TEST(ShardedSim, ServiceRateTwoRelievesContention) {
   // Multi-slot emission (service_rate > 1) preserves the contract.
   EXPECT_EQ(a.metrics_json, b.metrics_json);
   EXPECT_EQ(a.links_csv, b.links_csv);
+}
+
+// The quoted instrument names in a metrics JSON document: every key that
+// names a metric carries a dotted namespace ("sim.cycles"); the fields
+// inside a histogram object do not.
+std::set<std::string> metric_names(const std::string& json) {
+  static const std::regex kName(R"re("([a-z_]+\.[a-z_.]+)":)re");
+  std::set<std::string> names;
+  for (auto it = std::sregex_iterator(json.begin(), json.end(), kName);
+       it != std::sregex_iterator(); ++it) {
+    names.insert((*it)[1].str());
+  }
+  return names;
+}
+
+TEST(ShardedSim, ExportsTheSerialEnginesMetricNames) {
+  // Both SF engines export through one function, so a fault-free run
+  // reports the same set of metric names on either engine (the drop-cause
+  // counters included, at 0 on the sharded engine).
+  const HyperButterfly hb(2, 3);
+  const SimConfig cfg = sharded_config();
+  const ShardedRun sharded = run_sharded(hb, cfg, 4, 2);
+  auto topo = make_hyper_butterfly_sim(2, 3);
+  obs::Sink sink;
+  (void)run_simulation(*topo, cfg, {}, &sink);
+  std::ostringstream serial;
+  sink.write_metrics_json(serial);
+  const std::set<std::string> names = metric_names(serial.str());
+  EXPECT_TRUE(names.count("sim.dropped_unroutable"));
+  EXPECT_TRUE(names.count("sim.packet_latency"));
+  EXPECT_EQ(metric_names(sharded.metrics_json), names);
 }
 
 TEST(ShardedSim, MeanHopsAgreesWithSerialEngine) {

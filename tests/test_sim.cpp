@@ -2,6 +2,10 @@
 // behavior, determinism and fault handling.
 #include <gtest/gtest.h>
 
+#include <sstream>
+#include <string>
+#include <vector>
+
 #include "graph/bfs.hpp"
 #include "obs/sink.hpp"
 #include "sim/simulator.hpp"
@@ -146,6 +150,76 @@ TEST(Simulator, DynamicFaultRepairCountsEveryHop) {
       sink.metrics().counter("sim.packet_moves").value());
   EXPECT_NEAR(static_cast<double>(stats.delivered()) * stats.mean_hops(),
               moves, 1e-6);
+}
+
+// Everything a serial run reports: its stats and its sink's artifacts.
+struct SerialRun {
+  SimStats stats;
+  std::string metrics_json;
+  std::string links_csv;
+};
+
+template <typename Run>
+SerialRun capture(Run run) {
+  obs::Sink sink;
+  SerialRun r;
+  r.stats = run(&sink);
+  std::ostringstream metrics, links;
+  sink.write_metrics_json(metrics);
+  sink.write_links_csv(links);
+  r.metrics_json = metrics.str();
+  r.links_csv = links.str();
+  return r;
+}
+
+void expect_same_run(const SerialRun& a, const SerialRun& b) {
+  EXPECT_EQ(a.stats.injected(), b.stats.injected());
+  EXPECT_EQ(a.stats.delivered(), b.stats.delivered());
+  EXPECT_EQ(a.stats.dropped(), b.stats.dropped());
+  EXPECT_EQ(a.stats.mean_latency(), b.stats.mean_latency());
+  EXPECT_EQ(a.stats.mean_hops(), b.stats.mean_hops());
+  EXPECT_EQ(a.metrics_json, b.metrics_json);
+  EXPECT_EQ(a.links_csv, b.links_csv);
+}
+
+TEST(Simulator, EmptyFaultScheduleIsFaultFreeRun) {
+  // A schedule with no events is a fault-free run: same routing (native,
+  // not the disjoint-path fault router), same stats, same artifacts.
+  auto topo = make_hyper_butterfly_sim(2, 3);
+  SimConfig cfg;
+  cfg.injection_rate = 0.05;
+  cfg.warmup_cycles = 50;
+  cfg.measure_cycles = 200;
+  cfg.seed = 7;
+  const SerialRun events = capture([&](obs::Sink* sink) {
+    return run_simulation_with_fault_events(*topo, cfg, {}, sink);
+  });
+  const SerialRun fault_free = capture(
+      [&](obs::Sink* sink) { return run_simulation(*topo, cfg, {}, sink); });
+  ASSERT_GT(fault_free.stats.delivered(), 0u);
+  expect_same_run(events, fault_free);
+}
+
+TEST(Simulator, CycleZeroEventsMatchStaticMask) {
+  // m+3 = 5 nodes that die at cycle 0 are the same experiment as the same
+  // nodes given as a static fault mask: one cycle loop, one routing rule.
+  auto topo = make_hyper_butterfly_sim(2, 3);
+  SimConfig cfg = light_config();
+  cfg.injection_rate = 0.05;
+  const std::vector<std::uint32_t> dead{3, 17, 40, 58, 77};
+  std::vector<char> mask(topo->num_nodes(), 0);
+  std::vector<FaultEvent> events;
+  for (std::uint32_t v : dead) {
+    mask[v] = 1;
+    events.push_back({0, v});
+  }
+  const SerialRun scheduled = capture([&](obs::Sink* sink) {
+    return run_simulation_with_fault_events(*topo, cfg, events, sink);
+  });
+  const SerialRun masked = capture(
+      [&](obs::Sink* sink) { return run_simulation(*topo, cfg, mask, sink); });
+  ASSERT_GT(masked.stats.delivered(), 0u);
+  expect_same_run(scheduled, masked);
 }
 
 TEST(Simulator, DynamicFaultsOnDeadDestinationDrop) {

@@ -95,12 +95,20 @@ expect_diag "expected" "bad campaign threads" campaign 1 3 --threads -2
 expect_diag "cannot open" "unwritable metrics" analyze 1 3 --exact-connectivity --metrics-out "$bad"
 expect_diag "expected" "bad stream interval" sim 1 3 --stream-interval-ms 1.5
 # The stream surfaces are best-effort observers: an unwritable path never
-# fails (or changes) the run it watches.
+# fails (or changes) the run it watches, but it is reported on stderr --
+# once per path (--stream-out F also writes F.prom), not once per snapshot.
+err=/tmp/hbnet_cli_args_err.$$
 for flag in --stream-out --prom-out; do
-  if ! "$cli" sim 1 3 --cycles 20 "$flag" "$bad" >/dev/null 2>&1; then
+  if ! "$cli" sim 1 3 --cycles 20 "$flag" "$bad" >/dev/null 2>"$err"; then
     echo "FAIL: unwritable $flag must not fail the run" >&2
     fails=$((fails + 1))
+  elif ! grep -qF -- "warning: cannot write" "$err" ||
+      ! grep -qF -- "'$bad'" "$err" ||
+      [ "$(sort "$err" | uniq -d)" != "" ]; then
+    echo "FAIL: unwritable $flag must warn once per path on stderr" >&2
+    fails=$((fails + 1))
   fi
+  rm -f "$err"
 done
 
 # A flag the command does not use is an error naming the commands that do
