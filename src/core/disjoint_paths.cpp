@@ -36,6 +36,7 @@
 
 #include <atomic>
 #include <mutex>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 
@@ -50,20 +51,34 @@ namespace {
 
 using HbPath = std::vector<HbNode>;
 
+/// This thread's flow network of B_n. B_n depends only on n, so one solver
+/// per thread serves every HyperButterfly of that dimension and is rebuilt
+/// only when the thread switches dimension. Per thread, never shared: const
+/// callers on pool workers (audit_disjoint_paths, parallel campaign trials)
+/// each solve on their own network.
+DisjointPathSolver& butterfly_solver(const Butterfly& bf) {
+  thread_local unsigned dimension = 0;
+  thread_local std::optional<DisjointPathSolver> solver;
+  if (!solver || dimension != bf.dimension()) {
+    solver.emplace(bf.to_graph());
+    dimension = bf.dimension();
+  }
+  return *solver;
+}
+
 /// The 4 internally disjoint b->b' paths in B_n, as butterfly vertex
-/// sequences. Uses unit-capacity max flow on the materialized layer; when
+/// sequences. Uses unit-capacity max flow on the butterfly layer; when
 /// b ~ b' the direct edge becomes path 0 and the remaining three avoid it.
 std::vector<std::vector<BflyNode>> butterfly_disjoint_paths(
-    const Butterfly& bf, const Graph& layer, BflyNode b, BflyNode b2) {
+    const Butterfly& bf, BflyNode b, BflyNode b2) {
+  DisjointPathSolver& solver = butterfly_solver(bf);
   const NodeId s = bf.index_of(b), t = bf.index_of(b2);
   std::vector<Path> raw;
-  if (layer.has_edge(s, t)) {
+  if (solver.has_edge(s, t)) {
     raw.push_back({s, t});
-    for (Path& p : flow_disjoint_paths(layer, s, t, {s, t})) {
-      raw.push_back(std::move(p));
-    }
+    for (Path& p : solver.solve(s, t, {s, t})) raw.push_back(std::move(p));
   } else {
-    raw = flow_disjoint_paths(layer, s, t);
+    raw = solver.solve(s, t);
   }
   if (raw.size() != 4) {
     throw std::logic_error(
@@ -123,8 +138,7 @@ std::vector<std::vector<HbNode>> HyperButterfly::disjoint_paths(
       p.push_back(v);
       paths.push_back(std::move(p));
     }
-    for (const auto& q : butterfly_disjoint_paths(bfly_, butterfly_graph(), b,
-                                                  b2)) {
+    for (const auto& q : butterfly_disjoint_paths(bfly_, b, b2)) {
       HbPath lifted;
       lifted.reserve(q.size());
       for (BflyNode z : q) lifted.push_back({h, z});
@@ -135,7 +149,7 @@ std::vector<std::vector<HbNode>> HyperButterfly::disjoint_paths(
 
   // Case 3: both parts differ.
   const auto P = cube_.disjoint_paths(h, h2);
-  const auto Q = butterfly_disjoint_paths(bfly_, butterfly_graph(), b, b2);
+  const auto Q = butterfly_disjoint_paths(bfly_, b, b2);
   // Spines: the direct edge (length-1 path) when present, else index 0.
   std::size_t i0 = 0, j0 = 0;
   for (std::size_t i = 0; i < P.size(); ++i) {
@@ -182,10 +196,6 @@ DisjointPathsAudit audit_disjoint_paths(const HyperButterfly& hb,
                                         unsigned threads) {
   HBNET_DCHECK_OK(check::validate(hb));
   const Graph g = hb.to_graph();
-  // Materialize the lazy butterfly layer before fanning out: it is the only
-  // mutable state disjoint_paths() touches, and initializing it here
-  // happens-before every pool worker starts.
-  (void)hb.butterfly_graph();
   const std::uint64_t n = hb.num_nodes();
   const std::uint64_t total = n * (n - 1);  // ordered pairs, k -> (u, v)
   const std::uint32_t expected = hb.degree();

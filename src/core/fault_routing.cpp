@@ -28,15 +28,19 @@ void report(obs::Sink* sink, const HyperButterfly& hb, HbNode u, HbNode v,
        {"hops", r.path.empty() ? 0 : r.path.size() - 1}});
 }
 
-/// Shared core of both route_around_faults overloads. `banned_first` may be
-/// null (no link bans); when set, the BFS fallback is unavailable because the
-/// reference search cannot honor per-edge bans.
+/// Shared core of both route_around_faults overloads. `is_faulty(w)` tells
+/// whether node w is faulty. `banned_first` may be null (no link bans).
+/// `fallback` non-null enables the BFS fallback over that fault set; the
+/// banned variant passes null because the reference search cannot honor
+/// per-edge bans.
+template <typename IsFaulty>
 FaultRouteResult route_around_faults_impl(const HyperButterfly& hb, HbNode u,
-                                          HbNode v, const HbFaultSet& faults,
+                                          HbNode v, const IsFaulty& is_faulty,
                                           const std::vector<HbNode>* banned_first,
-                                          bool bfs_fallback, obs::Sink* sink) {
+                                          const HbFaultSet* fallback,
+                                          obs::Sink* sink) {
   FaultRouteResult r;
-  if (faults.contains(hb, u) || faults.contains(hb, v)) {
+  if (is_faulty(u) || is_faulty(v)) {
     report(sink, hb, u, v, r);
     return r;
   }
@@ -49,7 +53,7 @@ FaultRouteResult route_around_faults_impl(const HyperButterfly& hb, HbNode u,
   // Prefer short paths: inspect the family in increasing length order.
   std::sort(family.begin(), family.end(),
             [](const auto& a, const auto& b) { return a.size() < b.size(); });
-  for (const auto& path : family) {
+  for (auto& path : family) {
     ++r.paths_tried;
     bool clean = true;
     if (banned_first != nullptr && path.size() > 1) {
@@ -61,16 +65,16 @@ FaultRouteResult route_around_faults_impl(const HyperButterfly& hb, HbNode u,
       }
     }
     for (std::size_t i = 1; clean && i + 1 < path.size(); ++i) {
-      if (faults.contains(hb, path[i])) clean = false;
+      if (is_faulty(path[i])) clean = false;
     }
     if (clean) {
-      r.path = path;
+      r.path = std::move(path);
       report(sink, hb, u, v, r);
       return r;
     }
   }
-  if (bfs_fallback) {
-    if (auto p = hb_bfs_path(hb, u, v, &faults)) {
+  if (fallback != nullptr) {
+    if (auto p = hb_bfs_path(hb, u, v, fallback)) {
       r.path = std::move(*p);
       r.used_fallback = true;
     }
@@ -84,16 +88,22 @@ FaultRouteResult route_around_faults_impl(const HyperButterfly& hb, HbNode u,
 FaultRouteResult route_around_faults(const HyperButterfly& hb, HbNode u,
                                      HbNode v, const HbFaultSet& faults,
                                      bool bfs_fallback, obs::Sink* sink) {
-  return route_around_faults_impl(hb, u, v, faults, /*banned_first=*/nullptr,
-                                  bfs_fallback, sink);
+  return route_around_faults_impl(
+      hb, u, v, [&](HbNode w) { return faults.contains(hb, w); },
+      /*banned_first=*/nullptr, bfs_fallback ? &faults : nullptr, sink);
 }
 
 FaultRouteResult route_around_faults(const HyperButterfly& hb, HbNode u,
-                                     HbNode v, const HbFaultSet& faults,
+                                     HbNode v, std::span<const char> faulty,
                                      const std::vector<HbNode>& banned_first,
                                      obs::Sink* sink) {
-  return route_around_faults_impl(hb, u, v, faults, &banned_first,
-                                  /*bfs_fallback=*/false, sink);
+  return route_around_faults_impl(
+      hb, u, v,
+      [&](HbNode w) {
+        const HbIndex i = hb.index_of(w);
+        return i < faulty.size() && faulty[i] != 0;
+      },
+      &banned_first, /*fallback=*/nullptr, sink);
 }
 
 }  // namespace hbnet

@@ -11,6 +11,7 @@
 #pragma once
 
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "core/hyper_butterfly.hpp"
@@ -50,8 +51,14 @@ struct FaultRouteResult {
 /// one candidate and the m+4-wide family still guarantees a survivor while
 /// |node faults| + |banned links| <= m+3. Family-only: the BFS reference
 /// cannot honor per-edge bans, so there is no fallback.
+///
+/// Node faults come as a dense mask indexed by HyperButterfly::index_of
+/// (nonzero = faulty; nodes past its end are healthy), the form the
+/// simulators keep, so a call builds no fault set. With no bans the result
+/// is the bfs_fallback = false result of the overload above for the same
+/// faults.
 [[nodiscard]] FaultRouteResult route_around_faults(
-    const HyperButterfly& hb, HbNode u, HbNode v, const HbFaultSet& faults,
+    const HyperButterfly& hb, HbNode u, HbNode v, std::span<const char> faulty,
     const std::vector<HbNode>& banned_first, obs::Sink* sink = nullptr);
 
 }  // namespace hbnet

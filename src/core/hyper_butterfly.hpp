@@ -99,7 +99,9 @@ class HyperButterfly {
 
   /// Theorem 5: m+4 internally vertex-disjoint u-v paths (u != v).
   /// Implemented in core/disjoint_paths.cpp; see that file for the
-  /// construction and its degenerate-case handling.
+  /// construction and its degenerate-case handling. Safe to call from
+  /// several threads on one instance: the butterfly-layer flow network it
+  /// solves on is per thread.
   [[nodiscard]] std::vector<std::vector<HbNode>> disjoint_paths(
       HbNode u, HbNode v) const;
 
@@ -128,7 +130,9 @@ class HyperButterfly {
   [[nodiscard]] Graph to_graph() const;
 
   /// Materialized wrapped butterfly B_n of this instance (one layer),
-  /// indexed by Butterfly::index_of. Used by the Theorem-5 construction.
+  /// indexed by Butterfly::index_of. Used by the structured broadcast. The
+  /// first call materializes it, so it is not safe to make that call from
+  /// several threads at once.
   [[nodiscard]] const Graph& butterfly_graph() const;
 
  private:

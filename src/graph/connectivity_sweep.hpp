@@ -228,6 +228,16 @@ namespace detail {
 /// CSR convenience overload.
 [[nodiscard]] Dinic make_split_prototype(const Graph& g);
 
+/// Index, in make_split_prototype's network of a graph with `num_nodes`
+/// vertices, of the arc u_out -> v_in for the neighbor v at adjacency slot
+/// `slot` (row offset of u plus v's position in u's neighbor order). The
+/// prototype adds the num_nodes in->out arcs first, then one arc per
+/// neighbor slot in order, and add_arc stores each arc with its twin.
+[[nodiscard]] constexpr std::uint32_t split_out_arc(NodeId num_nodes,
+                                                    std::uint64_t slot) {
+  return static_cast<std::uint32_t>(2 * (num_nodes + slot));
+}
+
 /// One (s,t) solve on a clone of the split prototype: widens the terminal
 /// arcs, runs Dinic up to `limit`, restores the clone. Exact whenever
 /// limit > kappa(s, t).

@@ -3,9 +3,11 @@
 #include <algorithm>
 #include <limits>
 #include <sstream>
+#include <stdexcept>
 #include <unordered_set>
 
-#include "graph/maxflow.hpp"
+#include "check/check.hpp"
+#include "graph/connectivity_sweep.hpp"
 
 namespace hbnet {
 
@@ -63,55 +65,93 @@ PathFamilyCheck check_disjoint_paths(const Graph& g,
   return r;
 }
 
-std::vector<Path> flow_disjoint_paths(const Graph& g, NodeId s, NodeId t,
-                                      std::pair<NodeId, NodeId> forbidden_edge) {
-  // Vertex-split network: v_in = 2v, v_out = 2v+1; unit in->out arcs except
-  // at the terminals; unit arcs u_out -> v_in per direction of each edge.
-  Dinic dinic(2 * g.num_nodes());
-  constexpr std::int32_t kInf = std::numeric_limits<std::int32_t>::max() / 2;
-  for (NodeId v = 0; v < g.num_nodes(); ++v) {
-    dinic.add_arc(2 * v, 2 * v + 1, (v == s || v == t) ? kInf : 1);
-  }
-  auto is_forbidden = [&](NodeId a, NodeId b) {
-    auto [x, y] = forbidden_edge;
-    return (a == x && b == y) || (a == y && b == x);
-  };
-  // Remember, per vertex, the arc indices leaving v_out so we can walk the
-  // flow decomposition afterwards.
-  std::vector<std::vector<std::uint32_t>> out_arcs(g.num_nodes());
-  for (NodeId u = 0; u < g.num_nodes(); ++u) {
-    for (NodeId v : g.neighbors(u)) {
-      if (is_forbidden(u, v)) continue;
-      out_arcs[u].push_back(dinic.add_arc(2 * u + 1, 2 * v, 1));
-    }
-  }
-  std::int64_t limit =
-      static_cast<std::int64_t>(std::min(g.degree(s), g.degree(t))) + 1;
-  std::int64_t flow = dinic.max_flow(2 * s + 1, 2 * t, limit);
+DisjointPathSolver::DisjointPathSolver(const Graph& g)
+    : offsets_(g.row_offsets().begin(), g.row_offsets().end()),
+      dinic_(detail::make_split_prototype(g)) {
+  HBNET_DCHECK(dinic_.num_arcs() == num_nodes() + offsets_.back());
+}
 
-  // Decompose: from s, repeatedly follow saturated arcs, consuming them.
-  std::vector<std::vector<std::uint32_t>> flow_out(g.num_nodes());
-  for (NodeId u = 0; u < g.num_nodes(); ++u) {
-    for (std::uint32_t arc : out_arcs[u]) {
-      if (dinic.flow_on(arc) > 0) {
-        flow_out[u].push_back(arc);
-      }
-    }
+std::uint32_t DisjointPathSolver::out_arc(NodeId u, std::uint64_t j) const {
+  return detail::split_out_arc(num_nodes(), offsets_[u] + j);
+}
+
+bool DisjointPathSolver::has_edge(NodeId a, NodeId b) const {
+  for (std::uint64_t j = 0; j < offsets_[a + 1] - offsets_[a]; ++j) {
+    if (out_arc_head(out_arc(a, j)) == b) return true;
   }
+  return false;
+}
+
+void DisjointPathSolver::set_edge_capacity(NodeId a, NodeId b,
+                                           std::int32_t capacity) {
+  for (std::uint64_t j = 0; j < offsets_[a + 1] - offsets_[a]; ++j) {
+    const std::uint32_t arc = out_arc(a, j);
+    if (out_arc_head(arc) == b) dinic_.set_arc_capacity(arc, capacity);
+  }
+}
+
+std::vector<Path> DisjointPathSolver::solve(
+    NodeId s, NodeId t, std::pair<NodeId, NodeId> forbidden_edge) {
+  if (s == t) throw std::invalid_argument("DisjointPathSolver::solve: s == t");
+  // The network outlives this solve, so put it back even if a step below
+  // throws (say bad_alloc while building the paths): a widened terminal, a
+  // zeroed arc or leftover flow would skew every later solve.
+  struct Restorer {
+    DisjointPathSolver& solver;
+    NodeId s, t;
+    std::pair<NodeId, NodeId> forbidden_edge;
+    ~Restorer() { solver.restore(s, t, forbidden_edge); }
+  } restorer{*this, s, t, forbidden_edge};
+  constexpr std::int32_t kInf = std::numeric_limits<std::int32_t>::max() / 2;
+  const auto [fa, fb] = forbidden_edge;
+  dinic_.set_arc_capacity(2 * s, kInf);
+  dinic_.set_arc_capacity(2 * t, kInf);
+  if (fa != kInvalidNode && fb != kInvalidNode) {
+    set_edge_capacity(fa, fb, 0);
+    set_edge_capacity(fb, fa, 0);
+  }
+  const std::uint64_t deg_s = offsets_[s + 1] - offsets_[s];
+  const std::uint64_t deg_t = offsets_[t + 1] - offsets_[t];
+  const auto limit = static_cast<std::int64_t>(std::min(deg_s, deg_t)) + 1;
+  const std::int64_t flow = dinic_.max_flow(2 * s + 1, 2 * t, limit);
+
+  // Decompose: path k follows s's k-th last flow arc in neighbor order. An
+  // inner vertex has in->out capacity 1, so it carries one unit on exactly
+  // one out-arc and no two paths reach it.
   std::vector<Path> paths;
-  for (std::int64_t k = 0; k < flow; ++k) {
+  paths.reserve(static_cast<std::size_t>(flow));
+  for (std::uint64_t j = deg_s; j-- > 0;) {
+    std::uint32_t arc = out_arc(s, j);
+    if (dinic_.flow_on(arc) == 0) continue;
     Path p{s};
-    NodeId cur = s;
-    while (cur != t) {
-      // Follow and consume one unit of flow out of cur.
-      std::uint32_t arc = flow_out[cur].back();
-      flow_out[cur].pop_back();
-      cur = dinic.arc_to(arc) / 2;  // v_in -> vertex id
+    for (NodeId cur = out_arc_head(arc);; cur = out_arc_head(arc)) {
       p.push_back(cur);
+      if (cur == t) break;
+      std::uint64_t k = offsets_[cur + 1] - offsets_[cur];
+      while (dinic_.flow_on(out_arc(cur, --k)) == 0) {
+      }
+      arc = out_arc(cur, k);
     }
     paths.push_back(std::move(p));
   }
   return paths;
+}
+
+void DisjointPathSolver::restore(NodeId s, NodeId t,
+                                 std::pair<NodeId, NodeId> forbidden_edge) {
+  const auto [fa, fb] = forbidden_edge;
+  dinic_.set_arc_capacity(2 * s, 1);
+  dinic_.set_arc_capacity(2 * t, 1);
+  if (fa != kInvalidNode && fb != kInvalidNode) {
+    set_edge_capacity(fa, fb, 1);
+    set_edge_capacity(fb, fa, 1);
+  }
+  dinic_.undo_flow();
+}
+
+std::vector<Path> flow_disjoint_paths(const Graph& g, NodeId s, NodeId t,
+                                      std::pair<NodeId, NodeId> forbidden_edge) {
+  return DisjointPathSolver(g).solve(s, t, forbidden_edge);
 }
 
 std::size_t max_path_length(std::span<const Path> paths) {

@@ -5,6 +5,7 @@
 #include <random>
 
 #include "core/hyper_butterfly.hpp"
+#include "graph/adjacency.hpp"
 #include "graph/connectivity.hpp"
 #include "graph/disjoint_paths.hpp"
 
@@ -65,6 +66,55 @@ INSTANTIATE_TEST_SUITE_P(Dims, DisjointParam,
                                            std::pair{2u, 4u}, std::pair{4u, 3u},
                                            std::pair{2u, 5u}, std::pair{3u, 5u},
                                            std::pair{5u, 3u}));
+
+/// FNV-1a digest of the Theorem-5 family of every `stride`-th ordered pair
+/// k -> (u, v) (the audit_disjoint_paths enumeration): each family's size,
+/// then each path's length and node indices, in construction order. Pins
+/// which paths are built, not just that they are valid.
+std::uint64_t family_digest(const HyperButterfly& hb, std::uint64_t stride) {
+  std::uint64_t h = detail::kFnv1aBasis;
+  const std::uint64_t n = hb.num_nodes();
+  for (std::uint64_t k = 0; k < n * (n - 1); k += stride) {
+    const std::uint64_t u = k / (n - 1);
+    std::uint64_t v = k % (n - 1);
+    if (v >= u) ++v;
+    const auto family = hb.disjoint_paths(hb.node_at(u), hb.node_at(v));
+    detail::fnv1a_mix(h, family.size());
+    for (const auto& p : family) {
+      detail::fnv1a_mix(h, p.size());
+      for (const HbNode& w : p) detail::fnv1a_mix(h, hb.index_of(w));
+    }
+  }
+  return h;
+}
+
+struct GoldenFamilies {
+  unsigned m, n;
+  std::uint64_t stride;  // 1 = every ordered pair
+  std::uint64_t digest;
+};
+
+class Theorem5Golden : public ::testing::TestWithParam<GoldenFamilies> {};
+
+TEST_P(Theorem5Golden, FamiliesMatchRecordedDigest) {
+  const GoldenFamilies& g = GetParam();
+  const HyperButterfly hb(g.m, g.n);
+  EXPECT_EQ(family_digest(hb, g.stride), g.digest)
+      << "HB(" << g.m << "," << g.n << ") stride " << g.stride;
+}
+
+// Recorded from the construction that built a fresh flow network per
+// butterfly-layer solve; any change to which path is chosen changes them.
+INSTANTIATE_TEST_SUITE_P(
+    Recorded, Theorem5Golden,
+    ::testing::Values(GoldenFamilies{1, 3, 1, 688480501114575851ull},
+                      GoldenFamilies{2, 3, 1, 17554319238212758851ull},
+                      GoldenFamilies{2, 4, 1, 6784586258348768003ull},
+                      GoldenFamilies{3, 5, 61, 14055488398626464749ull}),
+    [](const ::testing::TestParamInfo<GoldenFamilies>& info) {
+      return "HB" + std::to_string(info.param.m) + "_" +
+             std::to_string(info.param.n);
+    });
 
 TEST(DisjointPaths, CaseCoverage) {
   // Exercise each Theorem-5 case explicitly, including degenerate

@@ -5,6 +5,7 @@
 #include <random>
 
 #include "core/fault_routing.hpp"
+#include "par/pool.hpp"
 
 namespace hbnet {
 namespace {
@@ -17,6 +18,15 @@ bool path_valid(const HyperButterfly& hb, const std::vector<HbNode>& path,
     if (i > 0 && hb.distance(path[i - 1], path[i]) != 1) return false;
   }
   return true;
+}
+
+/// `faults` as the dense mask the banned-first overload reads.
+std::vector<char> mask_of(const HyperButterfly& hb, const HbFaultSet& faults) {
+  std::vector<char> mask(hb.num_nodes(), 0);
+  for (HbIndex i = 0; i < hb.num_nodes(); ++i) {
+    mask[i] = faults.contains(hb, hb.node_at(i)) ? 1 : 0;
+  }
+  return mask;
 }
 
 TEST(FaultRouting, NoFaultsGivesAPath) {
@@ -119,7 +129,8 @@ TEST(FaultRouting, BannedFirstHopIsAvoided) {
   ASSERT_EQ(nbrs.size(), 6u);
   HbFaultSet faults;
   std::vector<HbNode> banned(nbrs.begin(), nbrs.begin() + 3);
-  FaultRouteResult r = route_around_faults(hb, u, v, faults, banned);
+  FaultRouteResult r =
+      route_around_faults(hb, u, v, mask_of(hb, faults), banned);
   ASSERT_TRUE(r.ok());
   EXPECT_FALSE(r.used_fallback);
   EXPECT_TRUE(path_valid(hb, r.path, u, v, faults));
@@ -136,7 +147,8 @@ TEST(FaultRouting, BannedLinksPlusNodeFaultsWithinGuarantee) {
   HbFaultSet faults;
   faults.add(hb, hb.node_at(17));
   faults.add(hb, hb.node_at(41));
-  FaultRouteResult r = route_around_faults(hb, u, v, faults, banned);
+  FaultRouteResult r =
+      route_around_faults(hb, u, v, mask_of(hb, faults), banned);
   ASSERT_TRUE(r.ok());
   EXPECT_TRUE(path_valid(hb, r.path, u, v, faults));
   for (const HbNode& b : banned) EXPECT_FALSE(r.path[1] == b);
@@ -150,7 +162,8 @@ TEST(FaultRouting, BannedVariantHasNoFallback) {
   HbNode u{0, {0, 0}}, v{1, {5, 1}};
   HbFaultSet faults;
   const std::vector<HbNode> banned = hb.neighbors(u);
-  FaultRouteResult r = route_around_faults(hb, u, v, faults, banned);
+  FaultRouteResult r =
+      route_around_faults(hb, u, v, mask_of(hb, faults), banned);
   EXPECT_FALSE(r.ok());
   EXPECT_FALSE(r.used_fallback);
   EXPECT_EQ(r.paths_tried, banned.size());
@@ -214,6 +227,88 @@ TEST(FaultRouting, ExhaustiveSmallFaultSets) {
       ASSERT_TRUE(r.ok()) << "f1=" << f1 << " f2=" << f2;
       EXPECT_TRUE(path_valid(hb, r.path, u, v, faults));
     }
+  }
+}
+
+/// m+3 random non-endpoint faults per query on HB(2,4), with the queries'
+/// endpoints: the fixture of the determinism tests below.
+struct FaultQuery {
+  HbNode u, v;
+  HbFaultSet faults;
+  std::vector<char> mask;
+};
+
+std::vector<FaultQuery> random_fault_queries(const HyperButterfly& hb,
+                                             int count) {
+  std::mt19937_64 rng(515);
+  std::uniform_int_distribution<HbIndex> pick(0, hb.num_nodes() - 1);
+  std::vector<FaultQuery> queries;
+  while (static_cast<int>(queries.size()) < count) {
+    const HbIndex su = pick(rng), sv = pick(rng);
+    if (su == sv) continue;
+    FaultQuery q{hb.node_at(su), hb.node_at(sv), {},
+                 std::vector<char>(hb.num_nodes(), 0)};
+    while (q.faults.size() < hb.cube_dimension() + 3) {
+      const HbIndex f = pick(rng);
+      if (f == su || f == sv) continue;
+      q.faults.add(hb, hb.node_at(f));
+      q.mask[f] = 1;
+    }
+    queries.push_back(std::move(q));
+  }
+  return queries;
+}
+
+TEST(FaultRouting, DenseMaskMatchesFaultSet) {
+  // With no bans, the simulators' mask overload must pick exactly the route
+  // the HbFaultSet overload picks without fallback. A ban on a first hop the
+  // unbanned route does not take changes nothing; a mask shorter than
+  // num_nodes() leaves the nodes past its end healthy.
+  const HyperButterfly hb(2, 4);
+  for (const FaultQuery& q : random_fault_queries(hb, 150)) {
+    const FaultRouteResult plain =
+        route_around_faults(hb, q.u, q.v, q.faults, /*bfs_fallback=*/false);
+    const FaultRouteResult masked =
+        route_around_faults(hb, q.u, q.v, q.mask, {});
+    ASSERT_EQ(plain.path, masked.path);
+    EXPECT_EQ(plain.paths_tried, masked.paths_tried);
+    ASSERT_TRUE(plain.ok());
+    for (const HbNode& w : hb.neighbors(q.u)) {
+      if (w == plain.path[1]) continue;
+      const FaultRouteResult banned =
+          route_around_faults(hb, q.u, q.v, q.mask, {w});
+      ASSERT_EQ(banned.path, plain.path);
+      EXPECT_EQ(banned.paths_tried, plain.paths_tried);
+    }
+  }
+  const HyperButterfly small(1, 3);
+  const HbNode u{0, {0, 0}}, v{1, {5, 1}};
+  const std::vector<char> empty_mask;
+  EXPECT_EQ(route_around_faults(small, u, v, empty_mask, {}).path,
+            route_around_faults(small, u, v, HbFaultSet{}, false).path);
+}
+
+TEST(FaultRouting, PoolWorkersOnSharedInstanceMatchSerial) {
+  // Four pool workers route on one shared const HyperButterfly at once; the
+  // butterfly-layer flow network behind disjoint_paths is per thread, so
+  // every answer must equal the serial one. The parallel pass runs first so
+  // no thread inherits state from the serial pass.
+  const HyperButterfly hb(2, 4);
+  const std::vector<FaultQuery> queries = random_fault_queries(hb, 400);
+  std::vector<FaultRouteResult> parallel(queries.size());
+  par::ThreadPool pool(4);
+  pool.parallel_for(queries.size(), [&](std::uint64_t i) {
+    const FaultQuery& q = queries[i];
+    parallel[i] = route_around_faults(hb, q.u, q.v, q.faults,
+                                      /*bfs_fallback=*/false);
+  });
+  for (std::size_t i = 0; i < queries.size(); ++i) {
+    const FaultQuery& q = queries[i];
+    const FaultRouteResult serial = route_around_faults(
+        hb, q.u, q.v, q.faults, /*bfs_fallback=*/false);
+    ASSERT_TRUE(serial.ok()) << "query " << i;
+    EXPECT_EQ(parallel[i].path, serial.path) << "query " << i;
+    EXPECT_EQ(parallel[i].paths_tried, serial.paths_tried) << "query " << i;
   }
 }
 

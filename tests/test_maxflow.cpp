@@ -2,10 +2,16 @@
 // and verification -- the machinery behind Corollary 1's audit.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <random>
+#include <stdexcept>
+#include <utility>
+
 #include "graph/builder.hpp"
 #include "graph/connectivity.hpp"
 #include "graph/disjoint_paths.hpp"
 #include "graph/maxflow.hpp"
+#include "topology/butterfly.hpp"
 #include "topology/guest_graphs.hpp"
 #include "topology/hypercube.hpp"
 
@@ -107,6 +113,72 @@ TEST(FlowDisjointPaths, ForbiddenEdgeHonored) {
   }
   PathFamilyCheck check = check_disjoint_paths(g, paths, 0, 1);
   EXPECT_TRUE(check.ok) << check.error;
+}
+
+/// B_dim's ordered pairs, every stride-th in (s, t) order: the full set on
+/// B_3..B_5, a sample of B_6's ~147k pairs.
+struct ReuseCase {
+  unsigned dim, stride;
+};
+
+class SolverReuse : public ::testing::TestWithParam<ReuseCase> {};
+
+TEST_P(SolverReuse, EveryButterflyPairMatchesAFreshSolve) {
+  // One solver answers B_n's pairs in a scrambled order, with and without
+  // the forbidden direct edge on adjacent pairs; each answer must equal a
+  // one-shot solve on a freshly built network. A capacity or flow left
+  // behind by an earlier solve would change a later family.
+  const ReuseCase& c = GetParam();
+  const Graph g = Butterfly(c.dim).to_graph();
+  DisjointPathSolver solver(g);
+  std::vector<std::pair<NodeId, NodeId>> pairs;
+  std::uint64_t k = 0;
+  for (NodeId s = 0; s < g.num_nodes(); ++s) {
+    for (NodeId t = 0; t < g.num_nodes(); ++t) {
+      if (s != t && k++ % c.stride == 0) pairs.emplace_back(s, t);
+    }
+  }
+  std::mt19937_64 rng(c.dim);
+  std::shuffle(pairs.begin(), pairs.end(), rng);
+  std::size_t mismatches = 0, forbidden_solves = 0;
+  for (const auto& [s, t] : pairs) {
+    if (solver.solve(s, t) != flow_disjoint_paths(g, s, t)) {
+      if (++mismatches == 1) ADD_FAILURE() << "pair " << s << " -> " << t;
+    }
+    if (g.has_edge(s, t)) {
+      ++forbidden_solves;
+      const std::vector<Path> reused = solver.solve(s, t, {s, t});
+      EXPECT_EQ(reused.size(), 3u);
+      if (reused != flow_disjoint_paths(g, s, t, {s, t})) {
+        if (++mismatches == 1) {
+          ADD_FAILURE() << "pair " << s << " -> " << t << " avoiding s-t";
+        }
+      }
+    }
+  }
+  EXPECT_EQ(mismatches, 0u);
+  if (c.stride == 1) {
+    EXPECT_EQ(forbidden_solves, 4u * g.num_nodes());  // B_n is 4-regular
+  } else {
+    EXPECT_GT(forbidden_solves, 0u);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Butterflies, SolverReuse,
+    ::testing::Values(ReuseCase{3, 1}, ReuseCase{4, 1}, ReuseCase{5, 1},
+                      ReuseCase{6, 61}),
+    [](const ::testing::TestParamInfo<ReuseCase>& info) {
+      const ReuseCase& c = info.param;
+      return "B" + std::to_string(c.dim) +
+             (c.stride == 1 ? std::string()
+                            : "_stride" + std::to_string(c.stride));
+    });
+
+TEST(SolverReuse, RejectsEqualEndpoints) {
+  const Graph g = Hypercube(3).to_graph();
+  DisjointPathSolver solver(g);
+  EXPECT_THROW((void)solver.solve(2, 2), std::invalid_argument);
 }
 
 TEST(CheckDisjointPaths, CatchesViolations) {

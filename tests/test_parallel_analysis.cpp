@@ -166,5 +166,16 @@ TEST(ParallelAnalysis, DisjointPathAuditPassesOnHb13) {
   }
 }
 
+TEST(ParallelAnalysis, DisjointPathAuditThreadInvariant) {
+  // One and four workers audit the same shared instance and must agree.
+  const HyperButterfly hb(2, 3);
+  const DisjointPathsAudit serial = audit_disjoint_paths(hb, 1);
+  const DisjointPathsAudit parallel = audit_disjoint_paths(hb, 4);
+  EXPECT_TRUE(serial.ok) << serial.error;
+  EXPECT_EQ(parallel.ok, serial.ok);
+  EXPECT_EQ(parallel.pairs_checked, serial.pairs_checked);
+  EXPECT_EQ(parallel.error, serial.error);
+}
+
 }  // namespace
 }  // namespace hbnet
