@@ -1,6 +1,6 @@
 // ABLATIONS: head-to-head timings of the library's design choices.
-//  * exact covering-walk routing vs BFS shortest path (why the O(n^2)
-//    solver exists),
+//  * exact covering-walk routing vs BFS shortest path (why the O(n)
+//    planner exists),
 //  * thread-parallel vs serial all-sources diameter (why parallel_bfs
 //    exists -- it powers the Figure-2 HD columns),
 //  * constructive Theorem-5 family vs generic max-flow extraction on the

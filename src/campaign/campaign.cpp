@@ -381,14 +381,10 @@ CampaignResult run_campaign(const CampaignConfig& config,
   }
 
   par::ThreadPool pool(config.threads);
-  // One topology adapter per worker: HyperButterfly lazily materializes
-  // its butterfly-layer graph under route_around_faults, so adapters must
-  // not be shared across threads.
-  std::vector<std::unique_ptr<SimTopology>> topos;
-  topos.reserve(pool.size());
-  for (unsigned w = 0; w < pool.size(); ++w) {
-    topos.push_back(make_hyper_butterfly_sim(config.m, config.n));
-  }
+  // One adapter shared by every worker: HyperButterfly is immutable and
+  // route_around_faults solves on per-thread state.
+  const std::unique_ptr<const SimTopology> topo =
+      make_hyper_butterfly_sim(config.m, config.n);
 
   // Live progress slots, resolved up front so workers only do relaxed
   // atomic adds. Per-cell drop slots share the metrics key convention
@@ -426,14 +422,13 @@ CampaignResult run_campaign(const CampaignConfig& config,
   std::vector<obs::Sink> sinks(specs.size());
   pool.parallel_for_chunks(
       specs.size(), 1,
-      [&](unsigned worker, std::uint64_t begin, std::uint64_t end) {
+      [&](unsigned /*worker*/, std::uint64_t begin, std::uint64_t end) {
         for (std::uint64_t i = begin; i < end; ++i) {
           obs::FlightRecorder::record(
               "trial_start", specs[i].index,
               static_cast<std::uint64_t>(specs[i].model),
               specs[i].fault_count);
-          run_trial(*topos[worker], config, specs[i], ranking, sinks[i],
-                    results[i]);
+          run_trial(*topo, config, specs[i], ranking, sinks[i], results[i]);
           obs::FlightRecorder::record("trial_finish", specs[i].index,
                                       results[i].delivered,
                                       results[i].dropped);

@@ -83,7 +83,7 @@ BroadcastResult hb_structured_broadcast(const HyperButterfly& hb,
   const unsigned m = hb.cube_dimension();
   BroadcastResult r;
   unsigned layer_rounds = greedy_broadcast_rounds(
-      hb.butterfly_graph(), hb.butterfly().index_of(source.bfly));
+      hb.butterfly().to_graph(), hb.butterfly().index_of(source.bfly));
   r.rounds = m + layer_rounds;
   r.informed = hb.num_nodes();
   r.complete = true;

@@ -7,16 +7,13 @@
 #include "check/check.hpp"
 #include "core/validate.hpp"
 #include "graph/builder.hpp"
+#include "topology/hb_implicit.hpp"
 
 namespace hbnet {
 
 HyperButterfly::HyperButterfly(unsigned m, unsigned n)
-    : m_(m), n_(n), cube_(m == 0 ? 1 : m), bfly_(n) {
-  if (m < 1 || n < 3 || m + n > 26) {
-    throw std::invalid_argument(
-        "HyperButterfly: need m >= 1, n >= 3, m + n <= 26 (got m=" +
-        std::to_string(m) + ", n=" + std::to_string(n) + ")");
-  }
+    // The domain check runs before any member is built.
+    : m_((check_hb_dimensions(m, n), m)), n_(n), cube_(m), bfly_(n) {
   // Theorem 1-2 structural invariants, verified on a bounded vertex sample
   // (checked builds only; see core/validate.hpp).
   HBNET_DCHECK_OK(check::validate(*this));
@@ -109,13 +106,5 @@ CayleySpec HyperButterfly::cayley_spec() const {
 }
 
 Graph HyperButterfly::to_graph() const { return materialize(cayley_spec()); }
-
-const Graph& HyperButterfly::butterfly_graph() const {
-  if (!bfly_graph_ready_) {
-    bfly_graph_ = bfly_.to_graph();
-    bfly_graph_ready_ = true;
-  }
-  return bfly_graph_;
-}
 
 }  // namespace hbnet

@@ -51,9 +51,12 @@ struct HbGen {
 /// Dense 64-bit index of an HB vertex (for sets/maps on large instances).
 using HbIndex = std::uint64_t;
 
+/// Immutable once constructed: every const method may be called from
+/// several threads on one shared instance.
 class HyperButterfly {
  public:
-  /// Constructs HB(m,n); m >= 1, n in [3, 20], m + n <= 26.
+  /// Constructs HB(m,n) on the check_hb_dimensions() domain (m >= 1,
+  /// n >= 3, m + n <= 26); throws std::invalid_argument outside it.
   HyperButterfly(unsigned m, unsigned n);
 
   [[nodiscard]] unsigned cube_dimension() const { return m_; }
@@ -129,18 +132,10 @@ class HyperButterfly {
   /// implicit interface for larger instances).
   [[nodiscard]] Graph to_graph() const;
 
-  /// Materialized wrapped butterfly B_n of this instance (one layer),
-  /// indexed by Butterfly::index_of. Used by the structured broadcast. The
-  /// first call materializes it, so it is not safe to make that call from
-  /// several threads at once.
-  [[nodiscard]] const Graph& butterfly_graph() const;
-
  private:
   unsigned m_, n_;
   Hypercube cube_;
   Butterfly bfly_;
-  mutable Graph bfly_graph_;       // lazily materialized
-  mutable bool bfly_graph_ready_ = false;
 };
 
 /// Result of sweeping the Theorem-5 construction over vertex pairs.

@@ -10,7 +10,6 @@
 #include "graph/validate.hpp"
 #include "graph/connectivity_sweep.hpp"
 #include "graph/maxflow.hpp"
-#include "graph/sparsify.hpp"
 #include "par/pool.hpp"
 
 namespace hbnet {
@@ -94,30 +93,23 @@ bool check_local_connectivity_sampled(const Graph& g, std::uint32_t target,
 std::uint32_t edge_connectivity(const Graph& g, unsigned threads) {
   HBNET_DCHECK_OK(check::validate(g));
   const CsrAdjacency csr(g);
-  return edge_connectivity(csr, threads, false);
+  return edge_connectivity(csr, threads);
 }
 
-std::uint32_t edge_connectivity(const AdjacencyProvider& adj, unsigned threads,
-                                bool sparsify) {
+std::uint32_t edge_connectivity(const AdjacencyProvider& adj,
+                                unsigned threads) {
   const NodeId n = adj.num_nodes();
   if (n <= 1) return 0;
   // lambda(G) = min over t != 0 of max-flow(0, t) on the un-split network.
   // The network is identical for every target, so it is built exactly once
   // and cleared with undo_flow() between solves (one clone per worker).
-  // Every limit below is <= deg(0)+1, so flows on a (deg(0)+1)-certificate
-  // equal flows on the full graph and the sparsified run is byte-identical.
   const std::uint32_t d0 = adj.degree(0);
-  SparseCertificate cert;
-  if (sparsify) cert = sparse_certificate(adj, d0 + 1);
-  const AdjacencyProvider* net_adj = &adj;
-  std::optional<CsrAdjacency> cert_view;
-  if (sparsify) net_adj = &cert_view.emplace(cert.graph);
   Dinic prototype(n);
-  prototype.reserve_arcs(2 * net_adj->num_edges());
+  prototype.reserve_arcs(2 * adj.num_edges());
   {
-    NeighborScratch scratch(*net_adj);
+    NeighborScratch scratch(adj);
     for (NodeId u = 0; u < n; ++u) {
-      for (NodeId v : net_adj->neighbors(u, scratch.data())) {
+      for (NodeId v : adj.neighbors(u, scratch.data())) {
         if (u < v) {
           prototype.add_arc(u, v, 1);
           prototype.add_arc(v, u, 1);

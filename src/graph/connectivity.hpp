@@ -58,12 +58,8 @@ namespace hbnet {
 [[nodiscard]] std::uint32_t edge_connectivity(const Graph& g,
                                               unsigned threads = 0);
 
-/// Provider-generic variant. With `sparsify`, every flow runs on one
-/// Nagamochi-Ibaraki certificate built once at k = deg(0) + 1 (lambda <=
-/// deg(0), and no solve's limit exceeds deg(0)+1, so all truncated flow
-/// values -- and therefore the result -- are identical with it on or off).
+/// Provider-generic variant.
 [[nodiscard]] std::uint32_t edge_connectivity(const AdjacencyProvider& adj,
-                                              unsigned threads = 0,
-                                              bool sparsify = false);
+                                              unsigned threads = 0);
 
 }  // namespace hbnet

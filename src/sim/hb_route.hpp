@@ -10,10 +10,10 @@
 // lengths -- so a packet is a fixed-size POD and each hop is O(1) bit math.
 //
 // The emitted hop sequence is identical to
-// HyperButterfly::route_generators(): cube bits LSB-first, then the greedy
-// first-crossing flip discipline of Butterfly::route() over the planned
-// walk. Tests replay both against each other exhaustively on small
-// instances.
+// HyperButterfly::route_generators(): cube bits LSB-first, then the same
+// plan stepped with the same covering_walk_step() (topology/butterfly.hpp)
+// that Butterfly::route() uses. Tests replay both against each other
+// exhaustively on small instances.
 #pragma once
 
 #include <bit>
@@ -61,9 +61,9 @@ class HbImplicitRouter {
   /// Advances one hop from `cur` (which must match the state's progress);
   /// updates `st` in place. Precondition: !st.done().
   ///
-  /// Defined here (and division-free: the level wraps are compares, not
-  /// modulo) because the sharded engine executes this once per packet move
-  /// -- it is the single hottest function in the library.
+  /// Defined here, on the inline division-free covering_walk_step(),
+  /// because the sharded engine executes this once per packet move -- it is
+  /// the single hottest function in the library.
   [[nodiscard]] HbHop next_hop(HbNode cur, HbRouteState& st) const {
     HBNET_DCHECK_MSG(!st.done(), "next_hop past end of route");
     if (st.cube_diff != 0) {
@@ -76,21 +76,11 @@ class HbImplicitRouter {
     while (st.run[i] == 0) ++i;
     --st.run[i];
     const int dir = i == 1 ? -int{st.dir0} : int{st.dir0};
-    const std::uint32_t lvl = cur.bfly.level;
-    const std::uint32_t down = lvl == 0 ? n_ - 1 : lvl - 1;
-    // Same greedy discipline as Butterfly::route(): an upward step crosses
-    // cycle edge cur.level, a downward step crosses (cur.level - 1) mod n;
-    // take the flipping generator on the first crossing of a required edge.
-    const std::uint32_t edge = dir > 0 ? lvl : down;
-    const bool flip = (st.word_diff >> edge) & 1;
-    if (flip) st.word_diff ^= 1u << edge;
-    const std::uint32_t word =
-        flip ? cur.bfly.word ^ (1u << edge) : cur.bfly.word;
-    const std::uint32_t level =
-        dir > 0 ? (lvl + 1 == n_ ? 0 : lvl + 1) : down;
+    BflyNode next = cur.bfly;
+    const BflyGen gen = covering_walk_step(n_, dir, next, st.word_diff);
     // Generator index: g = m, f = m+1, g^-1 = m+2, f^-1 = m+3.
-    const unsigned gen = m_ + (dir > 0 ? 0u : 2u) + (flip ? 1u : 0u);
-    return {{cur.cube, {word, level}}, static_cast<std::uint8_t>(gen)};
+    return {{cur.cube, next},
+            static_cast<std::uint8_t>(m_ + static_cast<unsigned>(gen))};
   }
 
  private:

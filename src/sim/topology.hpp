@@ -49,9 +49,6 @@ class SimTopology {
   /// Full route src -> dst (inclusive) using the network's own algorithm.
   [[nodiscard]] virtual std::vector<std::uint32_t> route(
       std::uint32_t src, std::uint32_t dst) const = 0;
-  /// True when the adapter implements a fault-tolerant routing algorithm,
-  /// i.e. route_avoiding can return something other than kUnsupported.
-  [[nodiscard]] virtual bool has_fault_routing() const { return false; }
   /// Neighbors of `v` in the network's deterministic (generator/dimension)
   /// order; empty when the adapter does not expose adjacency. Used to derive
   /// link fault sets and by the online wormhole router's tests.

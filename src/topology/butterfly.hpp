@@ -24,9 +24,13 @@
 //
 // Shortest routing: a route from (w,l) to (w',l') is a walk on the level
 // cycle Z_n from l to l' traversing cycle edge k at least once for every bit
-// k set in w^w'. We solve that covering-walk problem exactly in O(n^2) by
-// lifting to the integer line (see solve_covering_walk below), which yields
-// both the true distance and an explicit optimal generator sequence.
+// k set in w^w'. plan_covering_walk solves that covering-walk problem
+// exactly in O(n) by lifting to the integer line, giving the true distance
+// as three monotone runs; covering_walk_step turns each unit step of the
+// walk into a generator (flipping on the first crossing of a required
+// edge). Butterfly::route and the sharded simulator's per-hop router both
+// walk a plan with that one step rule. CCC routing (topology/ccc.hpp) uses
+// the vertex-visiting variant, plan_visiting_walk.
 #pragma once
 
 #include <cstdint>
@@ -45,27 +49,20 @@ struct BflyNode {
   friend bool operator==(const BflyNode&, const BflyNode&) = default;
 };
 
-/// The four butterfly generators, in the paper's notation.
+/// The four butterfly generators, in the paper's notation. The order is
+/// relied on: +2 turns an upward generator into its downward counterpart,
+/// +1 a plain generator into its flipping one.
 enum class BflyGen : std::uint8_t { kG, kF, kGInv, kFInv };
 
 /// Returns the paper name of a generator ("g", "f", "g-1", "f-1").
 [[nodiscard]] const char* to_string(BflyGen gen);
 
-/// Minimum-length walk on the cycle Z_n from `start` to `end` traversing
-/// every cycle edge k (joining levels k and k+1 mod n) with bit k set in
-/// `required`. Returned as signed unit steps (+1 = clockwise / g-direction).
-/// Exact; used by butterfly and hyper-butterfly routing.
-[[nodiscard]] std::vector<int> solve_covering_walk(unsigned n, unsigned start,
-                                                   unsigned end,
-                                                   std::uint64_t required);
-
-/// A minimum covering walk in closed form: lifted to the integer line
-/// anchored at `start`, an optimal walk visits the interval [-down, up] and
-/// ends at offset tau, sweeping to one extreme first and then the other.
-/// That is three monotone runs -- run(i) unit steps in direction
-/// dir(i) = -+dir(0) -- so a packet can carry the whole remaining route in a
-/// few bytes and advance it in O(1) per hop (the sharded simulator's
-/// implicit-routing representation).
+/// A minimum walk on the level cycle Z_n in closed form: lifted to the
+/// integer line anchored at `start`, an optimal walk visits the interval
+/// [-down, up] and ends at offset tau, sweeping to one extreme first and
+/// then the other. That is three monotone runs -- run(i) unit steps in
+/// direction dir(i) = -+dir(0) -- so a packet can carry the whole remaining
+/// route in a few bytes and advance it in O(1) per hop.
 struct CoveringWalkPlan {
   std::uint8_t up = 0;       // right extreme of the lifted interval
   std::uint8_t down = 0;     // left extreme (as a magnitude)
@@ -89,17 +86,41 @@ struct CoveringWalkPlan {
   }
 };
 
-/// Computes a minimum covering walk in O(n): same optimal length as
-/// solve_covering_walk (pinned exhaustively in tests), but returns the
-/// compact three-run form instead of materializing the step vector.
+/// Minimum-length walk on Z_n from `start` to `end` traversing every cycle
+/// edge k (joining levels k and k+1 mod n) with bit k set in `required`.
+/// Exact, O(n); the butterfly and hyper-butterfly router. Throws
+/// std::invalid_argument unless start, end < n <= 64.
 [[nodiscard]] CoveringWalkPlan plan_covering_walk(unsigned n, unsigned start,
                                                   unsigned end,
                                                   std::uint64_t required);
 
-/// Length of the optimal covering walk without materializing it.
-[[nodiscard]] unsigned covering_walk_length(unsigned n, unsigned start,
-                                            unsigned end,
-                                            std::uint64_t required);
+/// Minimum-length walk on Z_n from `start` to `end` that visits every
+/// position k with bit k set in `required` (the CCC router). Same planner:
+/// a right sweep to offset c visits positions up to c but covers only the
+/// edges below c, so the right extreme reaches one residue further.
+[[nodiscard]] CoveringWalkPlan plan_visiting_walk(unsigned n, unsigned start,
+                                                  unsigned end,
+                                                  std::uint64_t required);
+
+/// One unit step of a butterfly route along a covering walk: moves `cur`
+/// one level in direction `dir` (+1 = g-direction) and returns the
+/// generator taken. An upward step crosses cycle edge cur.level, a downward
+/// step crosses (cur.level - 1) mod n; on the first crossing of an edge
+/// whose bit is still set in `word_diff` it takes the flipping generator
+/// (f / f^-1) and clears that bit. Division-free (level wraps are
+/// compares): the sharded simulator runs it once per packet hop.
+[[nodiscard]] inline BflyGen covering_walk_step(unsigned n, int dir,
+                                                BflyNode& cur,
+                                                std::uint32_t& word_diff) {
+  const std::uint32_t lvl = cur.level;
+  const std::uint32_t down = lvl == 0 ? n - 1 : lvl - 1;
+  const std::uint32_t edge = dir > 0 ? lvl : down;
+  const std::uint32_t flip = word_diff & (1u << edge);
+  word_diff ^= flip;
+  cur.word ^= flip;
+  cur.level = dir > 0 ? (lvl + 1 == n ? 0 : lvl + 1) : down;
+  return static_cast<BflyGen>((dir > 0 ? 0 : 2) + (flip != 0 ? 1 : 0));
+}
 
 class Butterfly {
  public:
@@ -124,10 +145,11 @@ class Butterfly {
   /// All four neighbors, in order g, f, g^-1, f^-1.
   [[nodiscard]] std::vector<BflyNode> neighbors(BflyNode v) const;
 
-  /// Exact shortest-path distance.
+  /// Exact shortest-path distance: the planned covering walk's length.
   [[nodiscard]] unsigned distance(BflyNode u, BflyNode v) const;
 
-  /// One optimal route as a generator sequence.
+  /// One optimal route as a generator sequence: the planned covering walk,
+  /// stepped with covering_walk_step.
   [[nodiscard]] std::vector<BflyGen> route(BflyNode u, BflyNode v) const;
 
   /// One optimal route as the full vertex sequence [u, ..., v].

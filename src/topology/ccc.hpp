@@ -6,9 +6,10 @@
 // A vertex is (word w, position p): cycle edges change p by +-1 (mod n),
 // the single cube edge flips bit p of w. Routing therefore reduces to a
 // minimum walk on the position cycle Z_n that *visits* every position
-// whose bit differs (one extra step per flip), solved exactly by the same
-// interval enumeration as the butterfly's covering-walk router (which
-// covers *edges* instead).
+// whose bit differs (one extra step per flip). plan_visiting_walk
+// (topology/butterfly.hpp) solves it exactly in O(n) with the butterfly's
+// covering-walk planner, whose right sweep then reaches one residue
+// further (positions instead of edges).
 #pragma once
 
 #include <cstdint>
@@ -24,17 +25,6 @@ struct CccNode {
   std::uint32_t pos = 0;
   friend bool operator==(const CccNode&, const CccNode&) = default;
 };
-
-/// Minimum-length walk on Z_n from `start` to `end` that visits every
-/// position k with bit k set in `required`. Returns signed unit steps.
-[[nodiscard]] std::vector<int> solve_visiting_walk(unsigned n, unsigned start,
-                                                   unsigned end,
-                                                   std::uint64_t required);
-
-/// Length of the optimal visiting walk.
-[[nodiscard]] unsigned visiting_walk_length(unsigned n, unsigned start,
-                                            unsigned end,
-                                            std::uint64_t required);
 
 class CubeConnectedCycles {
  public:
@@ -56,10 +46,12 @@ class CubeConnectedCycles {
   /// The three neighbors: cycle forward, cycle backward, cube.
   [[nodiscard]] std::vector<CccNode> neighbors(CccNode v) const;
 
-  /// Exact shortest-path distance.
+  /// Exact shortest-path distance: the planned visiting walk's length plus
+  /// one cube step per differing bit.
   [[nodiscard]] unsigned distance(CccNode u, CccNode v) const;
 
-  /// One optimal route as the full vertex sequence [u, ..., v].
+  /// One optimal route as the full vertex sequence [u, ..., v]: the planned
+  /// visiting walk, flipping each differing bit on the first visit.
   [[nodiscard]] std::vector<CccNode> route_nodes(CccNode u, CccNode v) const;
 
   [[nodiscard]] NodeId index_of(CccNode v) const {

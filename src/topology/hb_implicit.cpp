@@ -2,26 +2,21 @@
 
 #include <bit>
 #include <stdexcept>
+#include <string>
 
 namespace hbnet {
-namespace {
 
-/// Same domain checks as the HyperButterfly constructor; duplicated here so
-/// the implicit provider has no dependency on core/ (graph algorithms and
-/// topology providers sit below it in the layering).
-void check_dimensions(unsigned m, unsigned n) {
-  if (m < 1) throw std::invalid_argument("HB(m,n): m must be >= 1");
-  if (n < 3 || n > 20) {
-    throw std::invalid_argument("HB(m,n): n must be in [3, 20]");
+void check_hb_dimensions(unsigned m, unsigned n) {
+  if (m < 1 || n < 3 || std::uint64_t{m} + n > 26) {
+    throw std::invalid_argument(
+        "HB(m,n): need m >= 1, n >= 3, m + n <= 26 (got m=" +
+        std::to_string(m) + ", n=" + std::to_string(n) + ")");
   }
-  if (m + n > 26) throw std::invalid_argument("HB(m,n): m + n must be <= 26");
 }
-
-}  // namespace
 
 HbImplicitAdjacency::HbImplicitAdjacency(unsigned m, unsigned n)
     : m_(m), n_(n) {
-  check_dimensions(m, n);
+  check_hb_dimensions(m, n);
 }
 
 std::span<const NodeId> HbImplicitAdjacency::neighbors(NodeId v,

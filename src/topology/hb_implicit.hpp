@@ -17,9 +17,14 @@
 
 namespace hbnet {
 
-/// AdjacencyProvider for HB(m,n) backed by generator arithmetic only.
-/// Same parameter domain as HyperButterfly (m >= 1, n in [3, 20],
-/// m + n <= 26); every instance in that domain fits NodeId.
+/// The HB(m,n) parameter domain, one check for HyperButterfly and
+/// HbImplicitAdjacency: m >= 1, n >= 3, m + n <= 26. Every vertex index
+/// n * 2^(m+n) on it stays below 2^31 (the largest is 25 * 2^26). Throws
+/// std::invalid_argument outside it.
+void check_hb_dimensions(unsigned m, unsigned n);
+
+/// AdjacencyProvider for HB(m,n) backed by generator arithmetic only, on
+/// the check_hb_dimensions() domain.
 class HbImplicitAdjacency final : public AdjacencyProvider {
  public:
   HbImplicitAdjacency(unsigned m, unsigned n);

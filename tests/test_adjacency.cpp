@@ -125,7 +125,7 @@ TEST(Adjacency, ConnectivityEntryPointsAcceptProviders) {
   EXPECT_EQ(vertex_connectivity(imp), 6u);
   EXPECT_EQ(vertex_connectivity(csr), 6u);
   EXPECT_EQ(edge_connectivity(imp), 6u);
-  EXPECT_EQ(edge_connectivity(csr, 0, /*sparsify=*/true), 6u);
+  EXPECT_EQ(edge_connectivity(csr), 6u);
 }
 
 TEST(OrbitRepresentative, IsCanonicalAndPreservesKappa) {

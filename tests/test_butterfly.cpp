@@ -3,6 +3,7 @@
 // family of Remark 9 and the natural tree.
 #include <gtest/gtest.h>
 
+#include "graph/adjacency.hpp"
 #include "graph/bfs.hpp"
 #include "graph/connectivity.hpp"
 #include "graph/embedding_check.hpp"
@@ -215,39 +216,101 @@ TEST_P(ButterflyParam, NaturalTreeIsValidEmbedding) {
 INSTANTIATE_TEST_SUITE_P(Dims, ButterflyParam,
                          ::testing::Values(3u, 4u, 5u, 6u, 7u, 8u));
 
+/// FNV-1a digest of Butterfly::route over every ordered pair of B_n (source
+/// index major): each route's length, then its generators. Pins which
+/// optimal route is chosen, not just its length.
+std::uint64_t route_digest(const Butterfly& b) {
+  std::uint64_t h = detail::kFnv1aBasis;
+  for (NodeId s = 0; s < b.num_nodes(); ++s) {
+    for (NodeId t = 0; t < b.num_nodes(); ++t) {
+      const std::vector<BflyGen> gens = b.route(b.node_at(s), b.node_at(t));
+      detail::fnv1a_mix(h, gens.size());
+      for (BflyGen g : gens) detail::fnv1a_mix(h, static_cast<unsigned>(g));
+    }
+  }
+  return h;
+}
+
+struct GoldenRoutes {
+  unsigned n;
+  std::uint64_t digest;
+};
+
+// Names the ctest entries by n alone (the default printer dumps the raw
+// bytes, padding included).
+void PrintTo(const GoldenRoutes& g, std::ostream* os) { *os << "n=" << g.n; }
+
+class ButterflyRouteGolden : public ::testing::TestWithParam<GoldenRoutes> {};
+
+TEST_P(ButterflyRouteGolden, RoutesMatchRecordedDigest) {
+  const GoldenRoutes& g = GetParam();
+  EXPECT_EQ(route_digest(Butterfly(g.n)), g.digest) << "B_" << g.n;
+}
+
+// Recorded from the brute-force interval-enumeration router that the
+// closed-form planner replaced; any change to which route is chosen
+// changes them.
+INSTANTIATE_TEST_SUITE_P(
+    Recorded, ButterflyRouteGolden,
+    ::testing::Values(GoldenRoutes{3, 15714703766600315651ull},
+                      GoldenRoutes{4, 4214308511579696003ull},
+                      GoldenRoutes{5, 15222376701901626243ull},
+                      GoldenRoutes{6, 7788468332765918083ull},
+                      GoldenRoutes{7, 16022155847648686979ull},
+                      GoldenRoutes{8, 10132973670928417667ull}),
+    [](const ::testing::TestParamInfo<GoldenRoutes>& info) {
+      return "B" + std::to_string(info.param.n);
+    });
+
 TEST(CoveringWalk, KnownCases) {
   // No required edges: straight-line distance on the level cycle.
-  EXPECT_EQ(covering_walk_length(8, 0, 3, 0), 3u);
-  EXPECT_EQ(covering_walk_length(8, 0, 5, 0), 3u);  // wrap the short way
-  EXPECT_EQ(covering_walk_length(8, 2, 2, 0), 0u);
+  EXPECT_EQ(plan_covering_walk(8, 0, 3, 0).length(), 3u);
+  // Wrap the short way.
+  EXPECT_EQ(plan_covering_walk(8, 0, 5, 0).length(), 3u);
+  EXPECT_EQ(plan_covering_walk(8, 2, 2, 0).length(), 0u);
   // One required edge right next to the start, ending at start: cross and
   // return.
-  EXPECT_EQ(covering_walk_length(8, 0, 0, 0b1), 2u);
+  EXPECT_EQ(plan_covering_walk(8, 0, 0, 0b1).length(), 2u);
   // All edges required, ending at start: one full loop.
-  EXPECT_EQ(covering_walk_length(6, 0, 0, 0b111111), 6u);
+  EXPECT_EQ(plan_covering_walk(6, 0, 0, 0b111111).length(), 6u);
   // All edges required, antipodal target: 3n/2 (the diameter witness).
-  EXPECT_EQ(covering_walk_length(6, 0, 3, 0b111111), 9u);
+  EXPECT_EQ(plan_covering_walk(6, 0, 3, 0b111111).length(), 9u);
+  // Out of domain: a level off the cycle, or a cycle longer than the
+  // 64-bit required mask.
+  EXPECT_THROW((void)plan_covering_walk(8, 8, 0, 0), std::invalid_argument);
+  EXPECT_THROW((void)plan_visiting_walk(8, 0, 9, 0), std::invalid_argument);
+  EXPECT_THROW((void)plan_covering_walk(65, 0, 0, 0), std::invalid_argument);
 }
 
 TEST(CoveringWalk, StepsMatchReportedLength) {
   for (unsigned n : {3u, 5u, 8u}) {
+    const Butterfly b(n);
     for (unsigned s = 0; s < n; ++s) {
       for (unsigned t = 0; t < n; ++t) {
         for (std::uint64_t req = 0; req < (1ull << n); req += 3) {
-          auto steps = solve_covering_walk(n, s, t, req);
-          EXPECT_EQ(steps.size(), covering_walk_length(n, s, t, req));
-          // Walk simulation: verify end level and edge coverage.
+          const CoveringWalkPlan plan = plan_covering_walk(n, s, t, req);
+          // Walk simulation: the runs sum to length(), end at t and cover
+          // every required edge.
           unsigned cur = s;
+          unsigned steps = 0;
           std::uint64_t covered = 0;
-          for (int d : steps) {
-            unsigned edge = d > 0 ? cur : (cur + n - 1) % n;
-            covered |= 1ull << edge;
-            cur = static_cast<unsigned>(
-                (static_cast<int>(cur) + d + static_cast<int>(n)) %
-                static_cast<int>(n));
+          for (unsigned i = 0; i < 3; ++i) {
+            const int d = plan.dir(i);
+            for (unsigned k = 0; k < plan.run(i); ++k, ++steps) {
+              unsigned edge = d > 0 ? cur : (cur + n - 1) % n;
+              covered |= 1ull << edge;
+              cur = static_cast<unsigned>(
+                  (static_cast<int>(cur) + d + static_cast<int>(n)) %
+                  static_cast<int>(n));
+            }
           }
+          EXPECT_EQ(steps, plan.length());
           EXPECT_EQ(cur, t);
           EXPECT_EQ(covered & req, req);
+          // The butterfly route between the matching nodes takes exactly
+          // that many generator steps.
+          const auto word = static_cast<std::uint32_t>(req);
+          EXPECT_EQ(b.route({0, s}, {word, t}).size(), plan.length());
         }
       }
     }

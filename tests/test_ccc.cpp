@@ -2,8 +2,10 @@
 // audit -- the extended bounded-degree baseline.
 #include <gtest/gtest.h>
 
+#include "graph/adjacency.hpp"
 #include "graph/bfs.hpp"
 #include "graph/connectivity.hpp"
+#include "topology/butterfly.hpp"
 #include "topology/ccc.hpp"
 
 namespace hbnet {
@@ -81,17 +83,65 @@ TEST_P(CccParam, ConnectivityIsThree) {
 
 INSTANTIATE_TEST_SUITE_P(Dims, CccParam, ::testing::Values(3u, 4u, 5u, 6u));
 
+/// FNV-1a digest of CubeConnectedCycles::route_nodes over every ordered
+/// pair of CCC(n) (source index major): each path's length, then its node
+/// indices. Pins which optimal route is chosen, not just its length.
+std::uint64_t route_digest(const CubeConnectedCycles& ccc) {
+  std::uint64_t h = detail::kFnv1aBasis;
+  for (NodeId s = 0; s < ccc.num_nodes(); ++s) {
+    for (NodeId t = 0; t < ccc.num_nodes(); ++t) {
+      const std::vector<CccNode> path =
+          ccc.route_nodes(ccc.node_at(s), ccc.node_at(t));
+      detail::fnv1a_mix(h, path.size());
+      for (const CccNode& v : path) detail::fnv1a_mix(h, ccc.index_of(v));
+    }
+  }
+  return h;
+}
+
+struct GoldenRoutes {
+  unsigned n;
+  std::uint64_t digest;
+};
+
+// Names the ctest entries by n alone (the default printer dumps the raw
+// bytes, padding included).
+void PrintTo(const GoldenRoutes& g, std::ostream* os) { *os << "n=" << g.n; }
+
+class CccRouteGolden : public ::testing::TestWithParam<GoldenRoutes> {};
+
+TEST_P(CccRouteGolden, RoutesMatchRecordedDigest) {
+  const GoldenRoutes& g = GetParam();
+  EXPECT_EQ(route_digest(CubeConnectedCycles(g.n)), g.digest)
+      << "CCC(" << g.n << ")";
+}
+
+// Recorded from the brute-force interval-enumeration router that the
+// closed-form planner replaced; any change to which route is chosen
+// changes them.
+INSTANTIATE_TEST_SUITE_P(
+    Recorded, CccRouteGolden,
+    ::testing::Values(GoldenRoutes{3, 16382940860302974467ull},
+                      GoldenRoutes{4, 46292855519861123ull},
+                      GoldenRoutes{5, 16704263600993306179ull},
+                      GoldenRoutes{6, 11041368739062191423ull},
+                      GoldenRoutes{7, 504698858261196227ull},
+                      GoldenRoutes{8, 3763787626846232771ull}),
+    [](const ::testing::TestParamInfo<GoldenRoutes>& info) {
+      return "CCC" + std::to_string(info.param.n);
+    });
+
 TEST(VisitingWalk, KnownCases) {
   // No required positions: plain cycle distance.
-  EXPECT_EQ(visiting_walk_length(8, 0, 3, 0), 3u);
-  EXPECT_EQ(visiting_walk_length(8, 0, 5, 0), 3u);
+  EXPECT_EQ(plan_visiting_walk(8, 0, 3, 0).length(), 3u);
+  EXPECT_EQ(plan_visiting_walk(8, 0, 5, 0).length(), 3u);
   // Visit the antipode and come back.
-  EXPECT_EQ(visiting_walk_length(8, 0, 0, 1ull << 4), 8u);
+  EXPECT_EQ(plan_visiting_walk(8, 0, 0, 1ull << 4).length(), 8u);
   // Visit everything, return to start: n-1 out... the walk must touch all
   // n positions: best is almost a full loop.
-  EXPECT_EQ(visiting_walk_length(6, 0, 0, 0b111111), 6u);
+  EXPECT_EQ(plan_visiting_walk(6, 0, 0, 0b111111).length(), 6u);
   // Visiting start only costs nothing.
-  EXPECT_EQ(visiting_walk_length(6, 2, 2, 1u << 2), 0u);
+  EXPECT_EQ(plan_visiting_walk(6, 2, 2, 1u << 2).length(), 0u);
 }
 
 }  // namespace

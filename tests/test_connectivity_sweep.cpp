@@ -416,21 +416,6 @@ TEST(ConnectivitySweep, ImplicitProviderMatchesCsrExactly) {
   }
 }
 
-TEST(ConnectivitySweep, EdgeConnectivitySparsifyEquivalence) {
-  std::uint64_t seed = 8100;
-  for (NodeId n : {8, 12, 16}) {
-    for (double p : {0.3, 0.7}) {
-      Graph g = random_graph(n, p, seed++, /*connected=*/true);
-      CsrAdjacency csr(g);
-      EXPECT_EQ(edge_connectivity(csr, 0, /*sparsify=*/true),
-                edge_connectivity(csr, 0, /*sparsify=*/false))
-          << "n=" << n << " p=" << p;
-    }
-  }
-  HbImplicitAdjacency imp(2, 3);
-  EXPECT_EQ(edge_connectivity(imp, 0, true), 6u);
-}
-
 TEST(ConnectivitySweep, KillResumeWithSparsifyAcrossThreadCounts) {
   // Satellite contract: checkpoint kill/resume stays byte-identical with
   // sparsification enabled, at 1, 2, and 8 threads.

@@ -5,6 +5,7 @@
 #include "core/hyper_butterfly.hpp"
 #include "core/routing.hpp"
 #include "graph/bfs.hpp"
+#include "topology/hb_implicit.hpp"
 
 namespace hbnet {
 namespace {
@@ -17,6 +18,30 @@ TEST(HyperButterfly, CountsTheorem2) {
   EXPECT_EQ(hb.diameter_formula(), 3u + 6);
   EXPECT_THROW(HyperButterfly(0, 4), std::invalid_argument);
   EXPECT_THROW(HyperButterfly(2, 2), std::invalid_argument);
+}
+
+TEST(HyperButterfly, DomainMatchesImplicitAdjacency) {
+  // One parameter check for both constructions: they accept and reject the
+  // same (m, n), including n > 20 (HB(1,21) .. HB(1,25)).
+  auto accepts = [](auto make) {
+    try {
+      make();
+      return true;
+    } catch (const std::invalid_argument&) {
+      return false;
+    }
+  };
+  for (unsigned m = 0; m <= 27; ++m) {
+    for (unsigned n = 0; n <= 27; ++n) {
+      const bool hb = accepts([&] { (void)HyperButterfly(m, n); });
+      const bool imp = accepts([&] { (void)HbImplicitAdjacency(m, n); });
+      EXPECT_EQ(hb, m >= 1 && n >= 3 && m + n <= 26) << m << "," << n;
+      EXPECT_EQ(imp, hb) << m << "," << n;
+    }
+  }
+  EXPECT_NO_THROW((void)HbImplicitAdjacency(1, 21));
+  EXPECT_THROW((void)HbImplicitAdjacency(~0u, 5), std::invalid_argument);
+  EXPECT_THROW((void)HyperButterfly(~0u, 5), std::invalid_argument);
 }
 
 TEST(HyperButterfly, IndexRoundTrip) {

@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "core/hyper_butterfly.hpp"
+#include "graph/bfs.hpp"
 #include "obs/sink.hpp"
 #include "sim/hb_route.hpp"
 #include "sim/sharded.hpp"
@@ -24,16 +25,18 @@ namespace hbnet {
 namespace {
 
 TEST(CoveringWalkPlan, MatchesOptimalLengthExhaustively) {
-  for (const unsigned n : {3u, 5u, 8u}) {
-    for (unsigned start = 0; start < n; ++start) {
-      for (unsigned end = 0; end < n; ++end) {
-        for (std::uint64_t req = 0; req < (std::uint64_t{1} << n); ++req) {
-          const CoveringWalkPlan plan = plan_covering_walk(n, start, end, req);
-          ASSERT_EQ(plan.length(), covering_walk_length(n, start, end, req))
-              << "n=" << n << " start=" << start << " end=" << end
-              << " req=" << req;
-        }
-      }
+  // Both planners see only residues relative to the start, so the problems
+  // at start 0 are all of them, and the covering walk from level 0 to level
+  // l crossing the edges in word w is the B_n distance (0,0) -> (w,l): one
+  // BFS per n is an independent oracle for every (end, required).
+  for (unsigned n = 3; n <= 8; ++n) {
+    const Butterfly b(n);
+    const BfsResult r = bfs(b.to_graph(), b.index_of({0, 0}));
+    for (NodeId id = 0; id < b.num_nodes(); ++id) {
+      const BflyNode v = b.node_at(id);
+      const CoveringWalkPlan plan = plan_covering_walk(n, 0, v.level, v.word);
+      ASSERT_EQ(plan.length(), r.dist[id])
+          << "n=" << n << " end=" << v.level << " req=" << v.word;
     }
   }
 }
@@ -42,30 +45,42 @@ TEST(CoveringWalkPlan, ReplayCoversAndTerminates) {
   // Walk the three monotone runs on the level cycle and verify the walk is
   // valid: correct step count, ends at `end`, crosses every required edge
   // (an upward step crosses edge `level`, a downward step crosses
-  // (level - 1) mod n).
-  const unsigned n = 6;
-  for (unsigned start = 0; start < n; ++start) {
-    for (unsigned end = 0; end < n; ++end) {
-      for (std::uint64_t req = 0; req < (std::uint64_t{1} << n); ++req) {
-        const CoveringWalkPlan plan = plan_covering_walk(n, start, end, req);
-        unsigned level = start;
-        std::uint64_t crossed = 0;
-        unsigned steps = 0;
-        for (unsigned i = 0; i < 3; ++i) {
-          for (unsigned k = 0; k < plan.run(i); ++k) {
-            if (plan.dir(i) > 0) {
-              crossed |= std::uint64_t{1} << level;
-              level = level + 1 == n ? 0 : level + 1;
-            } else {
-              level = level == 0 ? n - 1 : level - 1;
-              crossed |= std::uint64_t{1} << level;
+  // (level - 1) mod n) -- and, for the visiting planner, visits every
+  // required position.
+  for (const unsigned n : {3u, 5u, 6u, 8u}) {
+    for (unsigned start = 0; start < n; ++start) {
+      for (unsigned end = 0; end < n; ++end) {
+        for (std::uint64_t req = 0; req < (std::uint64_t{1} << n); ++req) {
+          for (const bool visiting : {false, true}) {
+            const CoveringWalkPlan plan =
+                visiting ? plan_visiting_walk(n, start, end, req)
+                         : plan_covering_walk(n, start, end, req);
+            unsigned level = start;
+            std::uint64_t crossed = 0;
+            std::uint64_t visited = std::uint64_t{1} << start;
+            unsigned steps = 0;
+            for (unsigned i = 0; i < 3; ++i) {
+              for (unsigned k = 0; k < plan.run(i); ++k) {
+                if (plan.dir(i) > 0) {
+                  crossed |= std::uint64_t{1} << level;
+                  level = level + 1 == n ? 0 : level + 1;
+                } else {
+                  level = level == 0 ? n - 1 : level - 1;
+                  crossed |= std::uint64_t{1} << level;
+                }
+                visited |= std::uint64_t{1} << level;
+                ++steps;
+              }
             }
-            ++steps;
+            ASSERT_EQ(steps, plan.length());
+            ASSERT_EQ(level, end) << "n=" << n << " start=" << start
+                                  << " req=" << req;
+            ASSERT_EQ((visiting ? visited : crossed) & req, req)
+                << "unserved, n=" << n << " start=" << start
+                << " end=" << end << " req=" << req
+                << " visiting=" << visiting;
           }
         }
-        ASSERT_EQ(steps, plan.length());
-        ASSERT_EQ(level, end) << "start=" << start << " req=" << req;
-        ASSERT_EQ(crossed & req, req) << "uncovered edges, start=" << start;
       }
     }
   }
